@@ -10,10 +10,13 @@ import (
 )
 
 // This file is the facade's cached entry point: FromSQLCachedContext
-// memoizes fully rendered results in a pattern-keyed cache (see
+// memoizes verified results in a pattern-keyed cache (see
 // internal/diagcache). The cache key is the canonical pattern
 // fingerprint, so one verified build serves every isomorph of its query
-// — the §1.1 equivalence the paper's repository use case rests on.
+// — the §1.1 equivalence the paper's repository use case rests on. A
+// pattern too symmetric to fingerprint is cached under its exact text
+// alone. An entry keeps the verified diagram and renders each format the
+// first time it is asked for.
 // Cacheability is strict: only verified (or verify-off) non-degraded
 // results are ever inserted, and a request carrying an injected fault
 // plan bypasses the cache entirely in both directions.
@@ -24,9 +27,14 @@ type DiagramCache = diagcache.Cache
 // DiagramCacheConfig re-exports its configuration.
 type DiagramCacheConfig = diagcache.Config
 
-// CachedEntry is one immutable cached result (all three rendered
-// formats plus the verify status the build earned).
+// CachedEntry is one immutable cached result: the diagram summary, the
+// verify status the build earned, and its formats, read through
+// CachedEntry.Format.
 type CachedEntry = diagcache.Entry
+
+// CacheFormat names one rendering of a cached entry: "dot", "svg" or
+// "text".
+type CacheFormat = diagcache.Format
 
 // CacheOutcome classifies one cached lookup.
 type CacheOutcome = diagcache.Outcome
@@ -37,8 +45,8 @@ func NewDiagramCache(cfg DiagramCacheConfig) *DiagramCache { return diagcache.Ne
 // DefaultFingerprintPerms caps the canonical-labeling search when
 // fingerprinting on the request path: 720 = 6! keeps the worst case
 // around a millisecond while covering every paper query with room to
-// spare. Diagrams too symmetric to key under the bound are simply not
-// cached.
+// spare. Diagrams too symmetric to key under the bound are cached under
+// their exact text only (diagcache.ExactOnlyKey).
 const DefaultFingerprintPerms = 720
 
 // cacheExactKey is the exact-text lookup key: the full schema
@@ -90,34 +98,35 @@ func VerifyResultContext(ctx context.Context, res *Result, opts Options) (*Resul
 	return out, verr
 }
 
-// BuildEntryContext renders every format of a cacheable Result into a
-// cache entry. The caller is responsible for checking cacheability
-// (diagcache.CacheableStatus) first; rendering failures — output-size
-// limits, cancellation — surface as errors and the result stays
+// BuildEntryContext turns a cacheable Result into a cache entry and
+// renders format f, the one its caller asked for. The entry keeps only
+// the diagram and the pipeline's limits; every other format renders on
+// first use through the same DOTContext/SVGContext/TextContext calls an
+// uncached result makes, so a lazy render fails exactly as the uncached
+// path would. The caller is responsible for checking cacheability
+// (diagcache.CacheableStatus) first; a failure to render f — output-size
+// limits, cancellation — surfaces as an error and the result stays
 // uncached.
-func BuildEntryContext(ctx context.Context, res *Result) (*CachedEntry, error) {
-	dotOut, err := res.DOTContext(ctx, DOTOptions{})
-	if err != nil {
+func BuildEntryContext(ctx context.Context, res *Result, f CacheFormat) (*CachedEntry, error) {
+	r := &Result{Diagram: res.Diagram, limits: res.limits}
+	e := diagcache.NewEntry(func(ctx context.Context, f CacheFormat) (string, error) {
+		switch f {
+		case diagcache.FormatSVG:
+			return r.SVGContext(ctx)
+		case diagcache.FormatText:
+			return r.TextContext(ctx)
+		}
+		return r.DOTContext(ctx, DOTOptions{})
+	})
+	e.Interpretation = res.Interpretation
+	e.ReadingOrder = res.ReadingOrder()
+	e.Tables = len(res.Diagram.Tables)
+	e.Edges = len(res.Diagram.Edges)
+	e.VerifyStatus = res.VerifyStatus
+	if _, err := e.Format(ctx, f); err != nil {
 		return nil, err
 	}
-	svgOut, err := res.SVGContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	textOut, err := res.TextContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &CachedEntry{
-		DOT:            dotOut,
-		SVG:            svgOut,
-		Text:           textOut,
-		Interpretation: res.Interpretation,
-		ReadingOrder:   res.ReadingOrder(),
-		Tables:         len(res.Diagram.Tables),
-		Edges:          len(res.Diagram.Edges),
-		VerifyStatus:   res.VerifyStatus,
-	}, nil
+	return e, nil
 }
 
 // FromSQLCached is FromSQLCachedContext without a deadline.
@@ -127,14 +136,14 @@ func FromSQLCached(sql string, s *Schema, opts Options) (*CachedEntry, *Result, 
 
 // FromSQLCachedContext runs the pipeline through Options.Cache:
 //
-//   - on a cache hit the returned *CachedEntry carries the rendered
-//     formats and the Result is nil — no pipeline work ran beyond, at
-//     most, one unverified probe build to discover the pattern key;
+//   - on a cache hit the returned *CachedEntry serves the formats and the
+//     Result is nil — no pipeline work ran beyond, at most, one
+//     unverified probe build to discover the pattern key;
 //   - on a cacheable miss this caller (or a concurrent singleflight
-//     leader) runs the verified build once, renders every format, and
-//     the fresh entry is returned;
+//     leader) runs the verified build once, renders DOT, and the fresh
+//     entry is returned; SVG and text render on first use;
 //   - when the outcome is uncacheable — a degraded or skipped result,
-//     an unkeyable pattern, a fault plan on the context — the *Result is
+//     a DOT render that failed, a fault plan on the context — the *Result is
 //     returned instead, exactly as FromSQLContext would have produced
 //     it, and nothing is inserted.
 //
@@ -154,6 +163,7 @@ func FromSQLCachedContext(ctx context.Context, sql string, s *Schema, opts Optio
 	}
 
 	wantVerified := opts.Verify != VerifyOff
+	exactKey := cacheExactKey(sql, s, opts)
 	var (
 		probeRes    *Result
 		probeFailed bool
@@ -170,7 +180,7 @@ func FromSQLCachedContext(ctx context.Context, sql string, s *Schema, opts Optio
 		probeRes = r
 		key, ok := PatternFingerprintBounded(r.Diagram, DefaultFingerprintPerms)
 		if !ok {
-			return "", nil
+			return diagcache.ExactOnlyKey(exactKey), nil
 		}
 		return key, nil
 	}
@@ -183,14 +193,14 @@ func FromSQLCachedContext(ctx context.Context, sql string, s *Schema, opts Optio
 		if !diagcache.CacheableStatus(r.VerifyStatus, r.Degraded) {
 			return nil, nil
 		}
-		e, rerr := BuildEntryContext(ctx, r)
+		e, rerr := BuildEntryContext(ctx, r, diagcache.FormatDOT)
 		if rerr != nil {
 			return nil, nil // serve the result uncached; rendering is bounded
 		}
 		return e, nil
 	}
 
-	entry, outcome, err := cache.GetOrBuild(ctx, cacheExactKey(sql, s, opts),
+	entry, outcome, err := cache.GetOrBuild(ctx, exactKey,
 		opts.Verify.String(), wantVerified, probe, build)
 	if err != nil {
 		if probeFailed && opts.Verify == VerifyDegrade {

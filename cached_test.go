@@ -51,8 +51,15 @@ func TestFromSQLCachedColdWarm(t *testing.T) {
 	if cold.VerifyStatus != queryvis.VerifyStatusVerified {
 		t.Fatalf("cold entry status %q, want verified", cold.VerifyStatus)
 	}
-	if cold.DOT == "" || cold.SVG == "" || cold.Text == "" || cold.Interpretation == "" {
-		t.Fatal("cold entry is missing rendered formats")
+	if cold.Interpretation == "" {
+		t.Fatal("cold entry is missing its interpretation")
+	}
+	// Every format is reachable through the accessor: DOT was rendered by
+	// the build, SVG and text render on first use.
+	for _, f := range []queryvis.CacheFormat{"dot", "svg", "text"} {
+		if out, err := cold.Format(context.Background(), f); err != nil || out == "" {
+			t.Fatalf("cold entry format %s: %q, %v", f, out, err)
+		}
 	}
 
 	warm, _, out, err := queryvis.FromSQLCached(corpus.Fig1UniqueSet, beers, opts)
@@ -183,10 +190,19 @@ func assertColdWarmIdentity(t *testing.T, sql string, s *queryvis.Schema, mode q
 		if !warmOut.Hit() || warmEnt == nil {
 			t.Fatalf("cold miss did not become a warm hit (cold %v, warm %v) on %q", coldOut, warmOut, sql)
 		}
-		if warmEnt.DOT != coldEnt.DOT || warmEnt.SVG != coldEnt.SVG ||
-			warmEnt.Text != coldEnt.Text || warmEnt.VerifyStatus != coldEnt.VerifyStatus ||
+		if warmEnt.VerifyStatus != coldEnt.VerifyStatus ||
 			warmEnt.Interpretation != coldEnt.Interpretation {
 			t.Fatalf("warm hit is not byte-identical to the cold build on %q", sql)
+		}
+		// Every format the warm hit serves is the uncached render's.
+		for _, f := range []queryvis.CacheFormat{"dot", "svg", "text"} {
+			got, err := warmEnt.Format(context.Background(), f)
+			if err != nil {
+				continue // an output-limit overflow fails for both paths alike
+			}
+			if want, ok := uncachedFormat(sql, s, opts, f); ok && got != want {
+				t.Fatalf("warm %s differs from the uncached render on %q", f, sql)
+			}
 		}
 		if mode != queryvis.VerifyOff && warmEnt.VerifyStatus != queryvis.VerifyStatusVerified {
 			t.Fatalf("warm hit carries status %q under mode %v on %q", warmEnt.VerifyStatus, mode, sql)
@@ -198,6 +214,29 @@ func assertColdWarmIdentity(t *testing.T, sql string, s *queryvis.Schema, mode q
 				coldOut, coldRes.VerifyStatus, coldRes.Degraded, sql)
 		}
 	}
+}
+
+// uncachedFormat renders format f of sql through the cache-less facade
+// under the same options; ok is false when that run does not produce a
+// diagram in f (an error, or a degraded rung).
+func uncachedFormat(sql string, s *queryvis.Schema, opts queryvis.Options, f queryvis.CacheFormat) (string, bool) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	opts.Cache = nil
+	res, err := queryvis.FromSQLContext(ctx, sql, s, opts)
+	if err != nil || res.Degraded != "" {
+		return "", false
+	}
+	var out string
+	switch f {
+	case "svg":
+		out, err = res.SVGContext(ctx)
+	case "text":
+		out, err = res.TextContext(ctx)
+	default:
+		out, err = res.DOTContext(ctx, queryvis.DOTOptions{})
+	}
+	return out, err == nil
 }
 
 // FuzzCachedColdWarm extends the FuzzVerified battery to the cache

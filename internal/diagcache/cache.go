@@ -6,9 +6,12 @@
 // equivalence the pattern catalog already relies on.
 //
 // The cache is a bounded, sharded LRU holding immutable entries: the
-// three rendered formats (DOT, SVG, text), the interpretation, and the
-// verification status the build earned. Correctness rules are load
-// bearing and enforced at the single insertion point:
+// diagram's summary fields, the interpretation, the verification status
+// the build earned, and a renderer over the verified diagram. A build
+// renders only the format its caller asked for; every other format
+// (DOT, SVG, text) is rendered the first time it is asked for and then
+// memoized, its bytes charged to the shard's byte bound. Correctness
+// rules are load bearing and enforced at the single insertion point:
 //
 //   - only results whose verify status is "verified" (or "off", when the
 //     caller never asked for proof) are cacheable;
@@ -28,15 +31,19 @@
 // pattern key; if the pattern is cached the probe is all it pays, and
 // the alias index learns the new spelling. Concurrent misses on one
 // pattern collapse via singleflight: one leader runs the verified
-// build, everyone else waits for its entry.
+// build, everyone else waits for its entry. A query whose pattern is too
+// symmetric to key can still be cached under ExactOnlyKey: a namespace of
+// its own that only its exact text reaches.
 package diagcache
 
 import (
 	"container/list"
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -110,20 +117,45 @@ const (
 
 var evictCauses = []string{EvictLRU, EvictReplace, EvictInvalidate}
 
+// Format names one rendering of a cached diagram.
+type Format string
+
+// The formats an entry serves.
+const (
+	FormatDOT  Format = "dot"
+	FormatSVG  Format = "svg"
+	FormatText Format = "text"
+)
+
+// slot indexes a format's memo slot; -1 for an unknown format.
+func (f Format) slot() int {
+	switch f {
+	case FormatDOT:
+		return 0
+	case FormatSVG:
+		return 1
+	case FormatText:
+		return 2
+	}
+	return -1
+}
+
+// RenderFunc renders one format of an entry's diagram. It must be safe
+// for concurrent use and deterministic: two renders of one format are
+// interchangeable, so whichever finishes first is memoized.
+type RenderFunc func(ctx context.Context, f Format) (string, error)
+
 // Entry is one immutable cached result: everything the server needs to
-// answer a diagram request in any format without touching the pipeline.
-// Fields must never be mutated after Put.
+// answer a diagram request in any format without rerunning the
+// pipeline. Exported fields must never be mutated after Put; rendered
+// formats are reached through Format.
 type Entry struct {
 	// PatternKey is the canonical pattern fingerprint the entry is keyed
 	// on; PatternHash is its short fnv-64a hex form, used for response
-	// headers and worker affinity.
+	// headers and worker affinity. PatternHash is empty for an entry
+	// keyed by ExactOnlyKey, which has no pattern to share.
 	PatternKey  string
 	PatternHash string
-	// DOT, SVG, and Text are the three rendered formats; every format is
-	// rendered at insert time so a hit never runs the renderer.
-	DOT  string
-	SVG  string
-	Text string
 	// Interpretation is the natural-language reading.
 	Interpretation string
 	// ReadingOrder, Tables, and Edges mirror the diagram summary fields
@@ -135,14 +167,103 @@ type Entry struct {
 	// "off" when verification was never requested. No other status is
 	// insertable.
 	VerifyStatus string
+
+	render RenderFunc
+	// home is the cache the entry was inserted into; nil until Put.
+	home atomic.Pointer[Cache]
+	// mu guards the memo slots. Lock order: the owning shard's lock, then
+	// mu.
+	mu   sync.Mutex
+	out  [3]string
+	have [3]bool
 }
 
-// size is the entry's accounted footprint in bytes.
+// NewEntry returns an entry whose formats render through render on
+// first use. The caller fills in the summary fields before Put.
+func NewEntry(render RenderFunc) *Entry { return &Entry{render: render} }
+
+// Format returns the entry's rendering in f. The first request for a
+// format runs the renderer under ctx; a successful render is memoized
+// and, while the entry is resident, its bytes are charged to the cache's
+// byte bound. A failed or canceled render is returned as is and not
+// memoized, so the next request renders again.
+func (e *Entry) Format(ctx context.Context, f Format) (string, error) {
+	i := f.slot()
+	if i < 0 {
+		return "", fmt.Errorf("diagcache: unknown format %q", f)
+	}
+	e.mu.Lock()
+	out, ok := e.out[i], e.have[i]
+	e.mu.Unlock()
+	if ok {
+		return out, nil
+	}
+	out, err := e.render(ctx, f)
+	if err != nil {
+		return "", err
+	}
+	return e.memo(i, out), nil
+}
+
+// memo stores a rendered format once and charges its bytes to the
+// owning shard, under the shard lock, so an entry's accounted size
+// changes only where eviction reads it. A concurrent render that lost
+// the race gets the winner's (identical) bytes.
+func (e *Entry) memo(i int, out string) string {
+	c := e.home.Load()
+	var sh *shard
+	if c != nil {
+		sh = c.shards[shardIndex(e.PatternKey, c.cfg.Shards)]
+		sh.mu.Lock()
+	}
+	e.mu.Lock()
+	if e.have[i] {
+		out = e.out[i]
+		e.mu.Unlock()
+		if sh != nil {
+			sh.mu.Unlock()
+		}
+		return out
+	}
+	e.out[i], e.have[i] = out, true
+	e.mu.Unlock()
+	if sh == nil {
+		return out
+	}
+	var evicted []*node
+	if el, ok := sh.byKey[e.PatternKey]; ok && el.Value.(*node).ent == e {
+		nd := el.Value.(*node)
+		nd.size += int64(len(out))
+		sh.bytes += int64(len(out))
+		c.bytes.Add(int64(len(out)))
+		evicted = c.evictLocked(sh)
+	}
+	sh.mu.Unlock()
+	c.dropEvicted(evicted)
+	return out
+}
+
+// size is the entry's accounted footprint in bytes: the formats
+// rendered so far plus the fixed fields.
 func (e *Entry) size() int64 {
-	return int64(len(e.DOT) + len(e.SVG) + len(e.Text) +
-		len(e.Interpretation) + len(e.PatternKey) + len(e.PatternHash) +
+	e.mu.Lock()
+	n := len(e.out[0]) + len(e.out[1]) + len(e.out[2])
+	e.mu.Unlock()
+	return int64(n + len(e.Interpretation) + len(e.PatternKey) + len(e.PatternHash) +
 		8*len(e.ReadingOrder) + 128) // struct + bookkeeping overhead
 }
+
+// exactOnlyPrefix starts every ExactOnlyKey. Canonical pattern keys
+// begin with '[' (core's table signatures), so the namespaces are
+// disjoint.
+const exactOnlyPrefix = "\x00exact\x00"
+
+// ExactOnlyKey is the pattern-key stand-in for a result whose pattern is
+// too symmetric to fingerprint under the request path's bound: the
+// result is cached under its exact text alone. No other text's probe
+// produces this key, so the entry is never shared with another spelling,
+// and it carries no PatternHash.
+func ExactOnlyKey(exactKey string) string { return exactOnlyPrefix + exactKey }
 
 // CacheableStatus reports whether a result with the given verify status
 // and degradation rung may be inserted. This is the single codified
@@ -237,11 +358,14 @@ type shard struct {
 }
 
 // node is the shard-owned envelope around one Entry, tracking the
-// exact-text aliases pointing at it so eviction can unlink them.
+// exact-text aliases pointing at it so eviction can unlink them. size is
+// the entry's bytes as charged to the shard; it changes only under the
+// shard lock.
 type node struct {
 	key     string
 	ent     *Entry
 	aliases []string
+	size    int64
 }
 
 // aliasShard maps exact-text keys to pattern keys.
@@ -385,18 +509,25 @@ func (c *Cache) GetPattern(patternKey string, wantVerified bool) (*Entry, bool) 
 // alias, and evicts LRU tails until the shard is back under its bounds.
 // A verified entry replaces an unverified one for the same pattern; an
 // unverified entry never downgrades a verified one (its alias is still
-// learned). Entries failing CacheableStatus are rejected outright.
+// learned). Entries failing CacheableStatus, and entries already
+// inserted once, are rejected outright.
 func (c *Cache) Put(patternKey, exactKey string, e *Entry) bool {
 	if e == nil || !CacheableStatus(e.VerifyStatus, "") {
 		return false
 	}
+	if e.home.Load() != nil {
+		return false // an entry lives in one cache, under one key
+	}
 	e.PatternKey = patternKey
-	e.PatternHash = PatternHash(patternKey)
+	e.PatternHash = ""
+	if !strings.HasPrefix(patternKey, exactOnlyPrefix) {
+		e.PatternHash = PatternHash(patternKey)
+	}
 
 	sh := c.shards[shardIndex(patternKey, c.cfg.Shards)]
-	var evicted []*node
 	replaced := 0
 	sh.mu.Lock()
+	size := e.size()
 	if el, ok := sh.byKey[patternKey]; ok {
 		old := el.Value.(*node)
 		if old.ent.VerifyStatus == "verified" && e.VerifyStatus != "verified" {
@@ -405,19 +536,32 @@ func (c *Cache) Put(patternKey, exactKey string, e *Entry) bool {
 			c.addAlias(patternKey, exactKey)
 			return false
 		}
-		nd := &node{key: patternKey, ent: e, aliases: old.aliases}
-		sh.bytes += e.size() - old.ent.size()
-		c.bytes.Add(e.size() - old.ent.size())
-		el.Value = nd
+		sh.bytes += size - old.size
+		c.bytes.Add(size - old.size)
+		el.Value = &node{key: patternKey, ent: e, aliases: old.aliases, size: size}
 		sh.lru.MoveToFront(el)
 		replaced = 1
 	} else {
-		nd := &node{key: patternKey, ent: e}
-		sh.byKey[patternKey] = sh.lru.PushFront(nd)
-		sh.bytes += e.size()
-		c.bytes.Add(e.size())
+		sh.byKey[patternKey] = sh.lru.PushFront(&node{key: patternKey, ent: e, size: size})
+		sh.bytes += size
+		c.bytes.Add(size)
 		c.entries.Add(1)
 	}
+	e.home.Store(c)
+	evicted := c.evictLocked(sh)
+	sh.mu.Unlock()
+
+	c.cInserts.Inc()
+	c.countEviction(EvictReplace, replaced)
+	c.dropEvicted(evicted)
+	c.addAlias(patternKey, exactKey)
+	return true
+}
+
+// evictLocked drops LRU tails until sh is back under its bounds and
+// returns them for dropEvicted. The caller holds sh.mu.
+func (c *Cache) evictLocked(sh *shard) []*node {
+	var evicted []*node
 	for (sh.maxEntries > 0 && sh.lru.Len() > sh.maxEntries) ||
 		(sh.maxBytes > 0 && sh.bytes > sh.maxBytes && sh.lru.Len() > 1) {
 		tail := sh.lru.Back()
@@ -427,21 +571,21 @@ func (c *Cache) Put(patternKey, exactKey string, e *Entry) bool {
 		nd := tail.Value.(*node)
 		sh.lru.Remove(tail)
 		delete(sh.byKey, nd.key)
-		sh.bytes -= nd.ent.size()
-		c.bytes.Add(-nd.ent.size())
+		sh.bytes -= nd.size
+		c.bytes.Add(-nd.size)
 		c.entries.Add(-1)
 		evicted = append(evicted, nd)
 	}
-	sh.mu.Unlock()
+	return evicted
+}
 
-	c.cInserts.Inc()
-	c.countEviction(EvictReplace, replaced)
+// dropEvicted counts evictions and unlinks their aliases, outside any
+// shard lock.
+func (c *Cache) dropEvicted(evicted []*node) {
 	c.countEviction(EvictLRU, len(evicted))
 	for _, nd := range evicted {
 		c.dropAliases(nd)
 	}
-	c.addAlias(patternKey, exactKey)
-	return true
 }
 
 // addAlias records exactKey → patternKey, bounded per entry. Lock order

@@ -4,22 +4,39 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// mkEntry builds an entry whose three formats are rendered before
+// insertion, so its accounted size includes them.
 func mkEntry(status, payload string) *Entry {
-	return &Entry{
-		DOT:            "dot:" + payload,
-		SVG:            "svg:" + payload,
-		Text:           "text:" + payload,
-		Interpretation: "reading of " + payload,
-		ReadingOrder:   []int{0},
-		Tables:         1,
-		VerifyStatus:   status,
+	e := NewEntry(func(_ context.Context, f Format) (string, error) {
+		return string(f) + ":" + payload, nil
+	})
+	e.Interpretation = "reading of " + payload
+	e.ReadingOrder = []int{0}
+	e.Tables = 1
+	e.VerifyStatus = status
+	for _, f := range []Format{FormatDOT, FormatSVG, FormatText} {
+		if _, err := e.Format(context.Background(), f); err != nil {
+			panic(err)
+		}
 	}
+	return e
+}
+
+// mustFormat reads a format that cannot fail.
+func mustFormat(t *testing.T, e *Entry, f Format) string {
+	t.Helper()
+	out, err := e.Format(context.Background(), f)
+	if err != nil {
+		t.Fatalf("Format(%s): %v", f, err)
+	}
+	return out
 }
 
 func TestCacheableStatus(t *testing.T) {
@@ -484,8 +501,11 @@ func TestConcurrentChurn(t *testing.T) {
 					t.Errorf("churn error: %v", err)
 					return
 				}
-				if e != nil && e.DOT != "dot:"+p {
-					t.Errorf("pattern %s served foreign bytes %q", p, e.DOT)
+				if e == nil {
+					continue
+				}
+				if out, err := e.Format(context.Background(), FormatSVG); err != nil || out != "svg:"+p {
+					t.Errorf("pattern %s served foreign bytes %q (%v)", p, out, err)
 					return
 				}
 			}
@@ -494,5 +514,131 @@ func TestConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Entries > 2 {
 		t.Fatalf("capacity bound violated: %d entries", st.Entries)
+	}
+}
+
+// countingEntry builds a verified entry whose renderer counts calls per
+// format and renders size bytes for svg; fail makes the next render of
+// a format fail once.
+func countingEntry(size int) (*Entry, map[Format]*atomic.Int64, map[Format]*atomic.Bool) {
+	calls := map[Format]*atomic.Int64{FormatDOT: {}, FormatSVG: {}, FormatText: {}}
+	fail := map[Format]*atomic.Bool{FormatDOT: {}, FormatSVG: {}, FormatText: {}}
+	e := NewEntry(func(_ context.Context, f Format) (string, error) {
+		calls[f].Add(1)
+		if fail[f].Swap(false) {
+			return "", errors.New("render failed")
+		}
+		if f == FormatSVG {
+			return string(make([]byte, size)), nil
+		}
+		return string(f), nil
+	})
+	e.VerifyStatus = "verified"
+	return e, calls, fail
+}
+
+func TestLazyFormatRendersOnceAndIsCharged(t *testing.T) {
+	c := New(Config{MaxEntries: 8})
+	e, calls, _ := countingEntry(1000)
+	mustFormat(t, e, FormatDOT) // the build's own format, before Put
+	c.Put("pat", "exact", e)
+	before := c.Stats().Bytes
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if out, err := e.Format(context.Background(), FormatSVG); err != nil || len(out) != 1000 {
+				t.Errorf("svg: %d bytes, %v", len(out), err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := calls[FormatSVG].Load(); n < 1 || n > 8 {
+		t.Fatalf("svg rendered %d times", n)
+	}
+	mustFormat(t, e, FormatSVG)
+	n := calls[FormatSVG].Load()
+	mustFormat(t, e, FormatSVG)
+	if calls[FormatSVG].Load() != n {
+		t.Fatal("a memoized format rendered again")
+	}
+	if calls[FormatDOT].Load() != 1 {
+		t.Fatalf("dot rendered %d times, want once at build", calls[FormatDOT].Load())
+	}
+	if grew := c.Stats().Bytes - before; grew != 1000 {
+		t.Fatalf("memo charged %d bytes, want 1000 (charged once, however many racers)", grew)
+	}
+	if _, err := e.Format(context.Background(), Format("png")); err == nil {
+		t.Fatal("an unknown format rendered")
+	}
+}
+
+func TestLazyFormatFailureNotMemoized(t *testing.T) {
+	c := New(Config{MaxEntries: 8})
+	e, calls, fail := countingEntry(100)
+	c.Put("pat", "exact", e)
+	before := c.Stats().Bytes
+	fail[FormatSVG].Store(true)
+	if _, err := e.Format(context.Background(), FormatSVG); err == nil {
+		t.Fatal("failing render returned no error")
+	}
+	if c.Stats().Bytes != before {
+		t.Fatal("a failed render was charged")
+	}
+	if out := mustFormat(t, e, FormatSVG); len(out) != 100 || calls[FormatSVG].Load() != 2 {
+		t.Fatalf("the retry after a failure did not render afresh (%d calls)", calls[FormatSVG].Load())
+	}
+	if c.Stats().Bytes != before+100 {
+		t.Fatal("the successful retry was not charged")
+	}
+}
+
+func TestLazyFormatChargeEvictsUnderByteBound(t *testing.T) {
+	c := New(Config{MaxEntries: 8, Shards: 1, MaxBytes: 2048})
+	old, _, _ := countingEntry(1500)
+	mustFormat(t, old, FormatSVG) // resident with its 1500 bytes charged
+	c.Put("old", "e-old", old)
+	hot, _, _ := countingEntry(1500)
+	c.Put("hot", "e-hot", hot)
+	if st := c.Stats(); st.Entries != 2 {
+		t.Fatalf("entries = %d before any memo, want 2", st.Entries)
+	}
+	// Rendering the hot entry's SVG pushes the shard past its byte
+	// bound: the least recently used entry goes, and the accounting
+	// matches what is resident.
+	mustFormat(t, hot, FormatSVG)
+	if _, ok := c.GetPattern("old", true); ok {
+		t.Fatal("the LRU entry survived a memo past the byte bound")
+	}
+	if got, ok := c.GetExact("e-hot", true); !ok || got != hot {
+		t.Fatal("the entry being rendered was evicted")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != hot.size() || st.Evictions != 1 {
+		t.Fatalf("stats after memo eviction = %+v, want 1 entry of %d bytes, 1 eviction", st, hot.size())
+	}
+	// An evicted entry still renders for a reader holding it, but charges
+	// nothing.
+	before := c.Stats().Bytes
+	mustFormat(t, old, FormatText)
+	if c.Stats().Bytes != before {
+		t.Fatal("a non-resident entry's memo was charged")
+	}
+}
+
+func TestExactOnlyKeyNeverShared(t *testing.T) {
+	c := New(Config{MaxEntries: 8})
+	key := ExactOnlyKey("exact-text")
+	e := mkEntry("verified", "x")
+	c.Put(key, "exact-text", e)
+	if e.PatternHash != "" {
+		t.Fatalf("exact-only entry carries pattern hash %q", e.PatternHash)
+	}
+	if got, ok := c.GetExact("exact-text", true); !ok || got != e {
+		t.Fatal("exact-only entry not found by its text")
+	}
+	if ExactOnlyKey("other-text") == key || !strings.HasPrefix(key, "\x00") {
+		t.Fatal("exact-only keys are not disjoint from each other and from pattern keys")
 	}
 }

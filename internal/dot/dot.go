@@ -179,12 +179,13 @@ func writeTable(b *strings.Builder, t *core.TableNode, pad string, opts Options)
 	fmt.Fprintf(b, "%s  </TABLE>>];\n", pad)
 }
 
-func htmlEscape(s string) string {
-	r := strings.NewReplacer(
-		"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
-	)
-	return r.Replace(s)
-}
+// htmlEscaper is built once: a strings.Replacer compiles its lookup
+// table on first use, which per-call construction repaid for every label.
+var htmlEscaper = strings.NewReplacer(
+	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
+)
+
+func htmlEscape(s string) string { return htmlEscaper.Replace(s) }
 
 // quoteID quotes a DOT identifier when needed.
 func quoteID(s string) string {

@@ -233,8 +233,18 @@ func TestFleetPartitionHeal(t *testing.T) {
 	}
 
 	// Phase 1: the supervisor spawns all three and the ring goes fully
-	// healthy.
+	// healthy. The router counts a member healthy before its first probe,
+	// so the ring alone can report health before anything was spawned:
+	// wait on the supervisor's own processes too.
 	waitFor("all members spawned, joined, healthy", 20*time.Second, func(fv fleetView) bool {
+		sup.mu.Lock()
+		for _, m := range members {
+			if p := sup.procs[m.URL]; p == nil || !p.running() {
+				sup.mu.Unlock()
+				return false
+			}
+		}
+		sup.mu.Unlock()
 		healthyN := 0
 		for _, m := range members {
 			if _, ok := onRing(fv, m.URL); ok {
@@ -249,7 +259,10 @@ func TestFleetPartitionHeal(t *testing.T) {
 	// Background load: every response through the router must stay
 	// well-formed for the entire chaos window.
 	loadStop := make(chan struct{})
+	var stopLoad sync.Once
 	var loadWG sync.WaitGroup
+	// A failing phase must stop the load too, or it outlives the test.
+	t.Cleanup(func() { stopLoad.Do(func() { close(loadStop) }); loadWG.Wait() })
 	var loadMu sync.Mutex
 	var loadErrs []string
 	var loadN, loadOK int
@@ -332,7 +345,7 @@ func TestFleetPartitionHeal(t *testing.T) {
 	t.Logf("heal times: killed-member %.2fs (incl. respawn backoff), partitioned-member %.2fs after Heal()",
 		killHeal.Seconds(), partHeal.Seconds())
 
-	close(loadStop)
+	stopLoad.Do(func() { close(loadStop) })
 	loadWG.Wait()
 	loadMu.Lock()
 	if len(loadErrs) > 0 {

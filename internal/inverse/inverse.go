@@ -103,6 +103,9 @@ type graph struct {
 	// directed cross-group edges, as (fromGroup, toGroup) pairs with the
 	// originating diagram edge.
 	edges []groupEdge
+	// depth is consistent's scratch slice, reused across the search so
+	// checking one assignment allocates nothing.
+	depth []int
 }
 
 type groupEdge struct {
@@ -162,7 +165,10 @@ func buildGraph(d *core.Diagram) (*graph, error) {
 // the arrow rules for every cross-group edge.
 func (g *graph) consistent(parent []int) bool {
 	n := len(g.groups)
-	depth := make([]int, n)
+	if cap(g.depth) < n {
+		g.depth = make([]int, n)
+	}
+	depth := g.depth[:n]
 	depth[0] = 0
 	// Compute depths; detect cycles and the depth bound.
 	for i := 1; i < n; i++ {

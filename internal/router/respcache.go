@@ -82,9 +82,21 @@ type stampede struct {
 	mu      sync.Mutex
 	entries map[string]*stampedeEntry
 	flights map[string]*stampedeFlight
+	// order holds every insert in insertion order from index head on.
+	// The TTL is constant, so insertion order is expiry order: expired
+	// entries are always a prefix of the queue.
+	order []queued
+	head  int
 
 	ttl        time.Duration
 	maxEntries int
+}
+
+// queued is one insert awaiting expiry. An entry replaced or dropped
+// since is recognized by pointer and skipped.
+type queued struct {
+	key string
+	e   *stampedeEntry
 }
 
 func newStampede(ttl time.Duration, maxEntries int) *stampede {
@@ -136,11 +148,11 @@ func (s *stampede) complete(key string, f *stampedeFlight, sr *sharedResp, now t
 	s.mu.Lock()
 	delete(s.flights, key)
 	if sr != nil {
-		if len(s.entries) >= s.maxEntries {
-			s.pruneLocked(now)
-		}
+		s.expireLocked(now)
 		if len(s.entries) < s.maxEntries {
-			s.entries[key] = &stampedeEntry{sr: sr, expires: now.Add(s.ttl)}
+			e := &stampedeEntry{sr: sr, expires: now.Add(s.ttl)}
+			s.entries[key] = e
+			s.order = append(s.order, queued{key, e})
 			inserted = true
 		}
 	}
@@ -150,14 +162,25 @@ func (s *stampede) complete(key string, f *stampedeFlight, sr *sharedResp, now t
 	return inserted
 }
 
-// pruneLocked drops expired entries; if none have expired the cache is
-// genuinely full of live entries and the insert is skipped — with a
-// TTL this short, "full" resolves itself within seconds.
-func (s *stampede) pruneLocked(now time.Time) {
-	for k, e := range s.entries {
-		if now.After(e.expires) {
-			delete(s.entries, k)
+// expireLocked drops expired entries from the head of the insertion
+// queue, stopping at the first live one: the cost is the number of
+// entries expired, not the number resident. If nothing expired and the
+// cache is full of live entries the insert is skipped — with a TTL this
+// short, "full" resolves itself within seconds.
+func (s *stampede) expireLocked(now time.Time) {
+	for s.head < len(s.order) && now.After(s.order[s.head].e.expires) {
+		q := s.order[s.head]
+		if s.entries[q.key] == q.e {
+			delete(s.entries, q.key)
 		}
+		s.order[s.head] = queued{}
+		s.head++
+	}
+	if s.head > 64 && s.head*2 > len(s.order) {
+		// Compact once the consumed prefix outweighs the live tail.
+		n := copy(s.order, s.order[s.head:])
+		clear(s.order[n:])
+		s.order, s.head = s.order[:n], 0
 	}
 }
 

@@ -120,3 +120,77 @@ func TestStampedeOversizedBodyNotShared(t *testing.T) {
 		t.Fatal("oversized body must not be replayed to followers")
 	}
 }
+
+func TestStampedeFullOfLiveEntriesSkipsInsert(t *testing.T) {
+	s := newStampede(2*time.Second, 4)
+	now := time.Unix(9000, 0)
+	for i := 0; i < 4; i++ {
+		k := fmt.Sprintf("live-%d", i)
+		f, _ := s.join(k)
+		if !s.complete(k, f, respWith(200, nil), now.Add(time.Duration(i)*time.Millisecond)) {
+			t.Fatalf("insert %d into a cache with room was skipped", i)
+		}
+	}
+	// Every resident entry is live: the insert is skipped, the followers
+	// still get the leader's response, and nothing resident is dropped.
+	f, _ := s.join("late")
+	sr := respWith(200, nil)
+	if s.complete("late", f, sr, now.Add(time.Second)) {
+		t.Fatal("insert into a cache full of live entries must be skipped")
+	}
+	if f.sr != sr {
+		t.Fatal("a skipped insert must still resolve followers with the response")
+	}
+	if s.size() != 4 || s.get("live-0", now.Add(time.Second)) == nil {
+		t.Fatal("a skipped insert evicted a live entry")
+	}
+	if s.head != 0 {
+		t.Fatalf("expiry consumed %d live queue records", s.head)
+	}
+}
+
+func TestStampedeExpiresFromQueueHead(t *testing.T) {
+	s := newStampede(time.Second, 3)
+	now := time.Unix(10000, 0)
+	put := func(k string, at time.Time) bool {
+		f, _ := s.join(k)
+		return s.complete(k, f, respWith(200, nil), at)
+	}
+	put("a", now)
+	put("b", now.Add(100*time.Millisecond))
+	put("c", now.Add(200*time.Millisecond))
+	// "a" has expired; "b" and "c" have not. The next insert drops "a"
+	// from the head of the queue and stops at "b".
+	later := now.Add(1050 * time.Millisecond)
+	if !put("d", later) {
+		t.Fatal("insert after the oldest entry expired was skipped")
+	}
+	if s.get("a", later) != nil {
+		t.Fatal("expired head entry still served")
+	}
+	if s.get("b", later) == nil || s.get("c", later) == nil || s.get("d", later) == nil {
+		t.Fatal("a live entry was expired")
+	}
+	// A key re-inserted after its entry was dropped leaves a stale record
+	// behind; expiring that record must not drop the fresh entry.
+	s.get("b", now.Add(1200*time.Millisecond)) // get drops expired "b"
+	if !put("b", now.Add(1200*time.Millisecond)) {
+		t.Fatal("re-insert of an expired key was skipped")
+	}
+	at := now.Add(1250 * time.Millisecond)
+	put("e", at) // pops the stale "b" record and "c"
+	if s.get("b", at) == nil {
+		t.Fatal("a stale queue record expired the key's fresh entry")
+	}
+	// Long after everything expired, the queue drains and compacts.
+	end := now.Add(time.Hour)
+	for i := 0; i < 200; i++ {
+		put(fmt.Sprintf("k%d", i), end.Add(time.Duration(i)*time.Hour))
+	}
+	if s.size() != 1 || len(s.order)-s.head != 1 {
+		t.Fatalf("after serial expiry: %d resident, %d queued; want 1 and 1", s.size(), len(s.order)-s.head)
+	}
+	if len(s.order) > 130 {
+		t.Fatalf("queue never compacted: %d records held", len(s.order))
+	}
+}

@@ -47,9 +47,9 @@ func (s *Server) configFingerprint() string {
 
 // cacheKey is the exact-text lookup key. Server schemas are built-in,
 // so the name identifies the catalog entry; simplify is the only option
-// that changes the artifact (format does not: entries carry all three
-// renderings, and verify mode is handled by the cache's acceptance
-// check, not the key).
+// that changes the artifact (format does not: an entry serves every
+// format, and verify mode is handled by the cache's acceptance check,
+// not the key).
 func (s *Server) cacheKey(req *diagramRequest) string {
 	flag := byte('0')
 	if req.Simplify {
@@ -92,9 +92,12 @@ func (sv *served) writeHeaders(w http.ResponseWriter) {
 //     directions (an injected fault must neither be masked by cached
 //     bytes nor poison them);
 //   - otherwise GetOrBuild: exact-text hit, pattern hit, singleflight
-//     wait, or a verified build this caller leads. Uncacheable outcomes
-//     (degraded, breaker-skipped, unkeyable) serve this caller's own
-//     result and insert nothing.
+//     wait, or a verified build this caller leads, which renders only
+//     the requested format. A pattern too symmetric to fingerprint is
+//     cached under its exact text alone (diagcache.ExactOnlyKey), without
+//     an X-Queryvis-Pattern header. Uncacheable outcomes (degraded,
+//     breaker-skipped, a failed render) serve this caller's own result
+//     and insert nothing.
 func (s *Server) serveDiagram(ctx context.Context, req *diagramRequest, sch *schema.Schema, started time.Time) (*served, error) {
 	if s.cache == nil {
 		return s.serveUncached(ctx, req, sch, started, "")
@@ -108,6 +111,7 @@ func (s *Server) serveDiagram(ctx context.Context, req *diagramRequest, sch *sch
 		return nil, err
 	}
 	wantVerified := requested != queryvis.VerifyOff
+	exactKey := s.cacheKey(req)
 
 	var (
 		probeRes    *queryvis.Result
@@ -125,7 +129,7 @@ func (s *Server) serveDiagram(ctx context.Context, req *diagramRequest, sch *sch
 		probeRes = r
 		key, ok := queryvis.PatternFingerprintBounded(r.Diagram, maxFingerprintPerms)
 		if !ok {
-			return "", nil
+			return diagcache.ExactOnlyKey(exactKey), nil
 		}
 		return key, nil
 	}
@@ -138,14 +142,14 @@ func (s *Server) serveDiagram(ctx context.Context, req *diagramRequest, sch *sch
 		if !diagcache.CacheableStatus(r.VerifyStatus, r.Degraded) {
 			return nil, nil
 		}
-		e, rerr := queryvis.BuildEntryContext(ctx, r)
+		e, rerr := queryvis.BuildEntryContext(ctx, r, diagcache.Format(req.Format))
 		if rerr != nil {
 			return nil, nil // serve uncached; rendering failures degrade below
 		}
 		return e, nil
 	}
 
-	entry, outcome, err := s.cache.GetOrBuild(ctx, s.cacheKey(req),
+	entry, outcome, err := s.cache.GetOrBuild(ctx, exactKey,
 		requested.String(), wantVerified, probe, build)
 	if err != nil {
 		if probeFailed && requested == queryvis.VerifyDegrade {
@@ -161,7 +165,16 @@ func (s *Server) serveDiagram(ctx context.Context, req *diagramRequest, sch *sch
 		hdr = "hit"
 	}
 	if entry != nil {
-		return s.respondEntry(req, entry, requested, started, hdr), nil
+		sv, err := s.respondEntry(ctx, req, entry, requested, started, hdr)
+		var le *queryvis.LimitError
+		if err != nil && requested == queryvis.VerifyDegrade &&
+			!errors.As(err, &le) && ctx.Err() == nil {
+			// A renderer fault on a lazy format: the uncached path would
+			// walk the ladder to the TRC rung, which only a live result
+			// can do.
+			return s.serveUncached(ctx, req, sch, started, hdr)
+		}
+		return sv, err
 	}
 
 	// Uncacheable: serve this caller's own result, verifying it first if
@@ -229,16 +242,14 @@ func (s *Server) verifyProbed(ctx context.Context, req *diagramRequest, res *que
 	return out, nil
 }
 
-// respondEntry shapes a cache entry into the response. Entries are
-// immutable and carry every format, so this is a field selection, not a
-// render.
-func (s *Server) respondEntry(req *diagramRequest, e *diagcache.Entry, mode queryvis.VerifyMode, started time.Time, hdr string) *served {
-	out := e.DOT
-	switch req.Format {
-	case "svg":
-		out = e.SVG
-	case "text":
-		out = e.Text
+// respondEntry shapes a cache entry into the response. The requested
+// format is memoized unless this is its first request, which renders it
+// from the entry's verified diagram; a failed render returns the error
+// the uncached path's render returns.
+func (s *Server) respondEntry(ctx context.Context, req *diagramRequest, e *diagcache.Entry, mode queryvis.VerifyMode, started time.Time, hdr string) (*served, error) {
+	out, err := e.Format(ctx, diagcache.Format(req.Format))
+	if err != nil {
+		return nil, err
 	}
 	resp := diagramResponse{
 		Format:         req.Format,
@@ -258,7 +269,7 @@ func (s *Server) respondEntry(req *diagramRequest, e *diagcache.Entry, mode quer
 		// proof.
 		resp.VerifyStatus, sv.resp.VerifyStatus, sv.verifyStatus = "", "", ""
 	}
-	return sv
+	return sv, nil
 }
 
 // renderResult turns a live pipeline result into the response,

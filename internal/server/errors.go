@@ -176,8 +176,15 @@ func writeAPIError(w http.ResponseWriter, status int, ae apiError) {
 	_ = json.NewEncoder(w).Encode(errorBody{Error: ae})
 }
 
+// writeJSON encodes v without HTML escaping: bodies are
+// application/json, never embedded in HTML, and every diagram is full of
+// '<' and '>' that escaping would send as six-byte \u003c sequences
+// through the worker frame, the router cache and the wire. The decoded
+// strings are identical either way.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
 }

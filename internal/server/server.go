@@ -345,6 +345,18 @@ type diagramRequest struct {
 	Verify string `json:"verify,omitempty"`
 }
 
+// builtinSchemas is the server's schema catalog, built once and shared
+// by every request: validate runs on exact cache hits too, and
+// schema.ByName constructs a fresh catalog on each call. No pipeline
+// stage mutates a schema.
+var builtinSchemas = func() map[string]*schema.Schema {
+	m := make(map[string]*schema.Schema)
+	for _, name := range schema.BuiltinNames() {
+		m[name], _ = schema.ByName(name)
+	}
+	return m
+}()
+
 // validate resolves the request's schema and defaults its format.
 func (s *Server) validate(req *diagramRequest) (*schema.Schema, error) {
 	if req.SQL == "" {
@@ -357,7 +369,7 @@ func (s *Server) validate(req *diagramRequest) (*schema.Schema, error) {
 			Category: CatBadRequest, Message: `missing "schema" field`,
 		}}
 	}
-	sch, ok := schema.ByName(req.Schema)
+	sch, ok := builtinSchemas[req.Schema]
 	if !ok {
 		return nil, &requestError{http.StatusBadRequest, apiError{
 			Category: CatBadRequest,

@@ -194,10 +194,11 @@ func (l *layout) rowAnchor(end core.EdgeEnd) (left, right [2]float64) {
 	return [2]float64{fr.x, y}, [2]float64{fr.x + fr.w, y}
 }
 
-func esc(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// escaper is built once and shared; strings.Replacer is safe for
+// concurrent use.
+var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func esc(s string) string { return escaper.Replace(s) }
 
 // Render produces a standalone SVG document for the diagram.
 func Render(d *core.Diagram) string {

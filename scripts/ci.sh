@@ -7,6 +7,9 @@
 #   chaos      seeded fault-injection smoke against the hardened HTTP
 #              service, under the race detector (any failure names the
 #              run seed + request index it reproduces from)
+#   fuzz       10-second FuzzFrame run over the worker frame codec:
+#              garbage payloads must be rejected as malformed, never
+#              panic or allocate past the frame cap
 #   kill-storm seeded SIGKILL/wedge/pipe-garbage storm against the
 #              process-isolated worker pool, under the race detector:
 #              every request must end as a 200 or a categorized error,
@@ -89,6 +92,9 @@ go test -race ./...
 
 echo "== chaos smoke (race)"
 go test -count=1 -run TestChaos -race ./internal/faults/...
+
+echo "== fuzz smoke (worker frame codec, 10s)"
+go test -run XXX_NONE -fuzz FuzzFrame -fuzztime 10s ./internal/workerpool
 
 echo "== kill-storm smoke (race)"
 go test -count=1 -run 'TestKillStorm|TestCrashContainment' -race ./internal/workerpool
