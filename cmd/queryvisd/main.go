@@ -24,8 +24,7 @@
 //	          [-route-stampede-ttl 2s] \
 //	          [-fleet SPEC.json | -fleet-srv _svc._proto.name] \
 //	          [-fleet-spawn] [-fleet-interval 500ms] \
-//	          [-fleet-min-healthy N] [-fleet-down-after N] \
-//	          [-fleet-up-after N] \
+//	          [-fleet-min-healthy N] \
 //	          [-metrics] [-pprof] [-slow-query-ms N]
 //
 // With -isolation=process the pipeline runs in a supervised pool of
@@ -56,9 +55,10 @@
 //
 // With -fleet (a JSON spec file) or -fleet-srv (a DNS SRV name) the
 // router additionally runs the self-healing fleet supervisor: a
-// reconciliation loop that probes every desired member, joins newly
-// healthy instances, drain-then-ejects persistently unhealthy ones, and
-// rejoins the recovered — every removal gated by a disruption budget
+// reconciliation loop that has the router's prober watch every
+// desired member, joins instances once the prober judges them up,
+// drain-then-ejects those it judges down, and rejoins the recovered —
+// every removal gated by a disruption budget
 // (-fleet-min-healthy floor, one drain at a time, never the last
 // member). -fleet-spawn makes the supervisor also own the member
 // processes (this binary re-executed per member, respawned with
@@ -175,8 +175,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		fleetSpawn      = fs.Bool("fleet-spawn", false, "supervise one local queryvisd process per desired member, respawning exits with backoff (with -fleet)")
 		fleetInterval   = fs.Duration("fleet-interval", 500*time.Millisecond, "fleet reconcile cadence (with -fleet/-fleet-srv)")
 		fleetMinHealthy = fs.Int("fleet-min-healthy", 1, "disruption-budget floor: refuse removals that would leave fewer healthy serving members (with -fleet)")
-		fleetDownAfter  = fs.Int("fleet-down-after", 3, "consecutive bad observations of a member before acting against it (with -fleet)")
-		fleetUpAfter    = fs.Int("fleet-up-after", 2, "consecutive good observations before (re)joining a member (with -fleet)")
 
 		cacheEntries  = fs.Int("cache-entries", 4096, "pattern-keyed diagram cache capacity in entries (0 disables caching)")
 		cacheBytes    = fs.Int64("cache-bytes", 64<<20, "pattern-keyed diagram cache payload bound in bytes")
@@ -323,8 +321,6 @@ func run(args []string, stdout, stderr *os.File) int {
 				Ring:       rt,
 				Source:     fleetSrc,
 				Interval:   *fleetInterval,
-				DownAfter:  *fleetDownAfter,
-				UpAfter:    *fleetUpAfter,
 				MinHealthy: *fleetMinHealthy,
 				Metrics:    reg,
 				Logger:     logger,

@@ -552,24 +552,38 @@ func TestRouteMode(t *testing.T) {
 	hc := client.New(client.Config{})
 	ctx := context.Background()
 
-	// Router healthz: both ring members visible and healthy.
-	hresp, err := hc.Get(ctx, base+"/v1/healthz")
-	if err != nil {
-		t.Fatalf("router healthz: %v", err)
-	}
-	var hz struct {
-		Status    string `json:"status"`
-		Instances []struct {
-			URL     string `json:"url"`
-			Healthy bool   `json:"healthy"`
-		} `json:"instances"`
-	}
-	if err := json.NewDecoder(hresp.Body).Decode(&hz); err != nil {
-		t.Fatalf("decode router healthz: %v", err)
-	}
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK || hz.Status != "ok" || len(hz.Instances) != 2 {
-		t.Fatalf("router healthz = %d %+v", hresp.StatusCode, hz)
+	// Router healthz: both ring members visible, and "ok" once the
+	// prober has observed both up — never before.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		hresp, err := hc.Get(ctx, base+"/v1/healthz")
+		if err != nil {
+			t.Fatalf("router healthz: %v", err)
+		}
+		var hz struct {
+			Status    string `json:"status"`
+			Instances []struct {
+				URL    string `json:"url"`
+				Health string `json:"health"`
+			} `json:"instances"`
+		}
+		if err := json.NewDecoder(hresp.Body).Decode(&hz); err != nil {
+			t.Fatalf("decode router healthz: %v", err)
+		}
+		hresp.Body.Close()
+		if hresp.StatusCode != http.StatusOK || len(hz.Instances) != 2 {
+			t.Fatalf("router healthz = %d %+v", hresp.StatusCode, hz)
+		}
+		if hz.Status == "ok" {
+			if hz.Instances[0].Health != "up" || hz.Instances[1].Health != "up" {
+				t.Fatalf("router healthz ok with members not up: %+v", hz)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router healthz never reached ok: %+v", hz)
+		}
+		time.Sleep(25 * time.Millisecond)
 	}
 
 	// A diagram proxied through the ring.

@@ -81,8 +81,10 @@ func TestFleetPartitionHeal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos battery is not -short")
 	}
-	defer leak.Check(t)()
-	defer leak.CheckChildren(t)()
+	// Registered first so they run last, after the load goroutine's
+	// cleanup: a failing phase must not read as a leak.
+	t.Cleanup(leak.Check(t))
+	t.Cleanup(leak.CheckChildren(t))
 
 	const n = 3
 	var proxies [n]*netchaos.Proxy
@@ -128,9 +130,6 @@ func TestFleetPartitionHeal(t *testing.T) {
 		Ring:         rt,
 		Source:       src,
 		Interval:     50 * time.Millisecond,
-		ProbeTimeout: 300 * time.Millisecond,
-		DownAfter:    2,
-		UpAfter:      2,
 		MinHealthy:   1,
 		DrainTimeout: 500 * time.Millisecond,
 		RespawnBase:  300 * time.Millisecond,
@@ -166,12 +165,14 @@ func TestFleetPartitionHeal(t *testing.T) {
 		Router struct {
 			Instances []struct {
 				URL      string `json:"url"`
-				Healthy  bool   `json:"healthy"`
+				Health   string `json:"health"`
+				OnRing   bool   `json:"on_ring"`
 				Draining bool   `json:"draining"`
 			} `json:"instances"`
 		} `json:"router"`
 		Supervisor *struct {
 			Reconciles   int64            `json:"reconciles"`
+			Actions      []Action         `json:"actions"`
 			ActionCounts map[string]int64 `json:"action_counts"`
 			BudgetDenied map[string]int64 `json:"budget_denied"`
 		} `json:"supervisor"`
@@ -194,8 +195,11 @@ func TestFleetPartitionHeal(t *testing.T) {
 	// drain, and the ring never empty.
 	checkBudget := func(fv fleetView) {
 		t.Helper()
-		draining := 0
+		draining, members := 0, 0
 		for _, in := range fv.Router.Instances {
+			if in.OnRing {
+				members++
+			}
 			if in.Draining {
 				draining++
 			}
@@ -203,14 +207,14 @@ func TestFleetPartitionHeal(t *testing.T) {
 		if draining > 1 {
 			t.Fatalf("budget violated: %d concurrent drains, max 1", draining)
 		}
-		if len(fv.Router.Instances) == 0 {
+		if members == 0 {
 			t.Fatalf("budget violated: supervisor emptied the ring")
 		}
 	}
-	onRing := func(fv fleetView, url string) (present, healthy bool) {
+	onRing := func(fv fleetView, url string) (present, up bool) {
 		for _, in := range fv.Router.Instances {
-			if in.URL == url {
-				return true, in.Healthy && !in.Draining
+			if in.URL == url && in.OnRing {
+				return true, in.Health == router.HealthUp && !in.Draining
 			}
 		}
 		return false, false
@@ -226,34 +230,25 @@ func TestFleetPartitionHeal(t *testing.T) {
 				return time.Since(start)
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s: %+v", what, fv)
+				t.Fatalf("timed out waiting for %s: %+v\n%+v", what, fv, fv.Supervisor)
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
 
-	// Phase 1: the supervisor spawns all three and the ring goes fully
-	// healthy. The router counts a member healthy before its first probe,
-	// so the ring alone can report health before anything was spawned:
-	// wait on the supervisor's own processes too.
-	waitFor("all members spawned, joined, healthy", 20*time.Second, func(fv fleetView) bool {
-		sup.mu.Lock()
+	// Phase 1: the supervisor spawns all three and the prober observes
+	// each one up on the ring. Both facts are read from /v1/fleet: a
+	// member reports up only after passing probes, never by assumption.
+	waitFor("all members spawned, on the ring, up", 20*time.Second, func(fv fleetView) bool {
+		if fv.Supervisor == nil || fv.Supervisor.ActionCounts["spawn"] != n {
+			return false
+		}
 		for _, m := range members {
-			if p := sup.procs[m.URL]; p == nil || !p.running() {
-				sup.mu.Unlock()
+			if _, up := onRing(fv, m.URL); !up {
 				return false
 			}
 		}
-		sup.mu.Unlock()
-		healthyN := 0
-		for _, m := range members {
-			if _, ok := onRing(fv, m.URL); ok {
-				if _, h := onRing(fv, m.URL); h {
-					healthyN++
-				}
-			}
-		}
-		return healthyN == n
+		return true
 	})
 
 	// Background load: every response through the router must stay
@@ -316,24 +311,36 @@ func TestFleetPartitionHeal(t *testing.T) {
 	proxies[1].Partition()
 	chaosStart := time.Now()
 
+	// acted reports whether the supervisor's action log holds action
+	// for url.
+	acted := func(fv fleetView, action, url string) bool {
+		for _, a := range fv.Supervisor.Actions {
+			if a.Action == action && a.URL == url {
+				return true
+			}
+		}
+		return false
+	}
+
 	// Both must leave the ring: the dead one because its process is gone,
-	// the partitioned one because every probe blackholes.
-	waitFor("killed member off ring", 15*time.Second, func(fv fleetView) bool {
-		present, _ := onRing(fv, members[0].URL)
-		return !present
-	})
+	// the partitioned one because every probe blackholes. The dead one
+	// may be respawned and back before a poll sees the ring without it,
+	// so its round trip is read from the action log: a drain, then a
+	// rejoin, which the supervisor issues only for an off-ring member.
+	//
+	// Phase 3a: the killed member respawns (after backoff) and rejoins.
+	waitFor("killed member drained, respawned and rejoined", 20*time.Second,
+		func(fv fleetView) bool {
+			_, up := onRing(fv, members[0].URL)
+			return up && acted(fv, "drain", members[0].URL) && acted(fv, "rejoin", members[0].URL)
+		})
+	killHeal := time.Since(chaosStart)
+	// The partitioned one cannot come back before Heal, so the ring
+	// itself must show it gone.
 	waitFor("partitioned member off ring", 15*time.Second, func(fv fleetView) bool {
 		present, _ := onRing(fv, members[1].URL)
 		return !present
 	})
-
-	// Phase 3a: the killed member respawns (after backoff) and rejoins.
-	waitFor("killed member respawned and rejoined", 20*time.Second,
-		func(fv fleetView) bool {
-			_, healthy := onRing(fv, members[0].URL)
-			return healthy
-		})
-	killHeal := time.Since(chaosStart)
 
 	// Phase 3b: heal the partition; the member rejoins with hysteresis.
 	proxies[1].Heal()

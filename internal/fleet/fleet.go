@@ -1,17 +1,20 @@
 // Package fleet is the self-healing control plane over the router's
 // ring: a reconciliation loop that compares desired membership (a spec
-// file, a DNS SRV watcher — anything implementing Source) against
-// observed state (direct healthz probes plus the router's own view) and
-// drives the ring toward desired — joining newly discovered healthy
-// instances, drain-then-ejecting persistently unhealthy ones, and
-// rejoining recovered ones.
+// file, a DNS SRV watcher — anything implementing Source) against the
+// router's health verdicts and drives the ring toward desired — joining
+// newly discovered instances once up, drain-then-ejecting down ones,
+// and rejoining recovered ones.
 //
-// Two properties make the loop safe to leave unattended:
+// The supervisor runs no prober of its own: each tick it hands the
+// router its desired set (Ring.Watch), and the router's prober — the
+// one health observer of the deployment — reports a verdict for every
+// desired member, on the ring or not. Two properties make the loop safe
+// to leave unattended:
 //
-//   - Hysteresis. Membership changes key off consecutive-observation
-//     streaks (DownAfter failures to act against a member, UpAfter
-//     successes to admit one), so a flapping link oscillates the
-//     supervisor's streak counters, never the ring.
+//   - Hysteresis. The verdicts already carry the prober's streak
+//     hysteresis, so a flapping link never reaches a verdict the
+//     supervisor acts on; a member whose verdict is still unknown is
+//     left alone.
 //
 //   - A disruption budget. Every removal is gated: at most
 //     MaxConcurrentDrains drains in flight, never below the MinHealthy
@@ -39,7 +42,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"net/http"
 	"os/exec"
 	"sync"
 	"time"
@@ -48,10 +50,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Ring is the membership surface the supervisor drives. *router.Router
-// satisfies it directly (the in-process deployment); HTTPRing adapts a
-// remote router's /v1/ring admin API to the same shape.
+// Ring is the membership surface the supervisor drives and the health
+// model it reads. *router.Router satisfies it.
 type Ring interface {
+	// Watch sets the off-ring URLs whose verdicts State reports.
+	Watch(urls []string)
 	State() router.State
 	Join(url string) (epoch uint64, status string, err error)
 	Drain(url string) (epoch uint64, err error)
@@ -85,20 +88,9 @@ type Config struct {
 	Source Source
 	// Interval is the reconcile cadence (default 500ms).
 	Interval time.Duration
-	// ProbeTimeout bounds one direct healthz probe (default 1s).
-	ProbeTimeout time.Duration
-	// DownAfter is how many consecutive bad observations of a member
-	// precede action against it (default 3). This is the down-side
-	// hysteresis: a single lost probe never drains anyone.
-	DownAfter int
-	// UpAfter is how many consecutive good observations an off-ring
-	// member needs before (re)joining (default 2) — the up-side
-	// hysteresis that keeps a flapping instance from oscillating the
-	// ring.
-	UpAfter int
 	// MinHealthy is the disruption-budget floor: the supervisor refuses
-	// any removal that would leave fewer healthy, undraining members
-	// serving (default 1). A member that is already unhealthy does not
+	// any removal that would leave fewer routable, undraining members
+	// serving (default 1). A member whose verdict is down does not
 	// count toward the floor, so dead members are always removable.
 	MinHealthy int
 	// MaxConcurrentDrains caps drains in flight (default 1).
@@ -123,9 +115,6 @@ type Config struct {
 	// Metrics receives the supervisor's counter/gauge families
 	// (default: a private registry).
 	Metrics *telemetry.Registry
-	// HTTPClient performs healthz probes (default: a fresh client with
-	// ProbeTimeout and its own transport, closed with the supervisor).
-	HTTPClient *http.Client
 	// Logger, when non-nil, gets one line per action, denial, and
 	// respawn.
 	Logger *slog.Logger
@@ -134,15 +123,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 500 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 3
-	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 2
 	}
 	if c.MinHealthy <= 0 {
 		c.MinHealthy = 1
@@ -182,14 +162,13 @@ const actionLogCap = 64
 
 // memberView is one member's reconciliation state in a Status snapshot.
 type memberView struct {
-	URL        string `json:"url"`
-	Desired    bool   `json:"desired"`
-	OnRing     bool   `json:"on_ring"`
-	Draining   bool   `json:"draining"`
-	OKStreak   int    `json:"ok_streak"`
-	FailStreak int    `json:"fail_streak"`
-	Managed    bool   `json:"managed,omitempty"`
-	Respawns   int64  `json:"respawns,omitempty"`
+	URL      string `json:"url"`
+	Desired  bool   `json:"desired"`
+	OnRing   bool   `json:"on_ring"`
+	Draining bool   `json:"draining"`
+	Health   string `json:"health"` // the router's verdict
+	Managed  bool   `json:"managed,omitempty"`
+	Respawns int64  `json:"respawns,omitempty"`
 }
 
 // Status is the supervisor's self-report, embedded in /v1/fleet.
@@ -205,8 +184,6 @@ type Status struct {
 // memberState is the supervisor's private ledger for one member URL.
 type memberState struct {
 	member       Member
-	okStreak     int
-	failStreak   int
 	drainStarted time.Time // zero unless a drain we issued is pending
 	downSince    time.Time // zero unless currently judged down (heal timer)
 	everOnRing   bool      // distinguishes join from rejoin
@@ -217,9 +194,6 @@ type memberState struct {
 type Supervisor struct {
 	cfg Config
 	reg *telemetry.Registry
-	hc  *http.Client
-
-	ownTransport *http.Transport // non-nil when we built the probe client
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -258,11 +232,6 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	if s.reg == nil {
 		s.reg = telemetry.NewRegistry()
-	}
-	s.hc = cfg.HTTPClient
-	if s.hc == nil {
-		s.ownTransport = &http.Transport{MaxIdleConnsPerHost: 4}
-		s.hc = &http.Client{Timeout: cfg.ProbeTimeout, Transport: s.ownTransport}
 	}
 
 	s.reg.Counter(mReconciles, "Reconcile ticks completed.")
@@ -324,7 +293,7 @@ func (s *Supervisor) Run(ctx context.Context) {
 	}
 }
 
-// shutdown tears down managed processes and the probe transport.
+// shutdown tears down managed processes.
 func (s *Supervisor) shutdown() {
 	s.mu.Lock()
 	procs := make([]*proc, 0, len(s.procs))
@@ -335,24 +304,12 @@ func (s *Supervisor) shutdown() {
 	for _, p := range procs {
 		p.stop()
 	}
-	if s.ownTransport != nil {
-		s.ownTransport.CloseIdleConnections()
-	}
-}
-
-// observation is one member's probed + ring-reported state this tick.
-type observation struct {
-	member    Member
-	probeOK   bool
-	probeErr  string
-	onRing    bool
-	ringState router.InstanceState
 }
 
 // ReconcileOnce runs a single reconcile tick: refresh desired state,
-// observe every member, then converge the ring one budgeted action at a
-// time. Exported so tests (and the CI smoke) can step the loop
-// deterministically.
+// read the router's verdict on every member, then converge the ring one
+// budgeted action at a time. Exported so tests (and the CI smoke) can
+// step the loop deterministically.
 func (s *Supervisor) ReconcileOnce(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
@@ -388,100 +345,58 @@ func (s *Supervisor) ReconcileOnce(ctx context.Context) {
 		s.ensureProcesses(desired)
 	}
 
-	// 3. Observe: the ring's view plus one direct healthz probe per
-	// member of the union(desired, ring).
-	ringState := s.cfg.Ring.State()
-	onRing := make(map[string]router.InstanceState, len(ringState.Instances))
-	for _, in := range ringState.Instances {
-		onRing[in.URL] = in
+	// 3. Observe: keep the router's prober watching every desired
+	// member, then read its verdicts for the ring and the watch list.
+	urls := make([]string, len(desired))
+	for i, m := range desired {
+		urls[i] = m.URL
 	}
-	obs := s.observe(ctx, desired, onRing)
+	s.cfg.Ring.Watch(urls)
+	ringState := s.cfg.Ring.State()
 
-	// 4. Update streaks and converge.
+	// 4. Converge.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reconcileLocked(obs, onRing, len(ringState.Instances))
+	s.reconcileLocked(desired, ringState.Instances)
 	s.reconciles++
 	s.reg.Counter(mReconciles, "Reconcile ticks completed.").Inc()
 }
 
-// observe probes every desired member concurrently. Members on the ring
-// but not desired are carried as observations too (no probe needed —
-// they are leaving regardless of health).
-func (s *Supervisor) observe(ctx context.Context, desired []Member, onRing map[string]router.InstanceState) []observation {
-	obs := make([]observation, len(desired))
-	var wg sync.WaitGroup
-	for i, m := range desired {
-		wg.Add(1)
-		go func(i int, m Member) {
-			defer wg.Done()
-			o := observation{member: m}
-			if in, ok := onRing[m.URL]; ok {
-				o.onRing, o.ringState = true, in
-			}
-			o.probeOK, o.probeErr = s.probe(ctx, m.URL)
-			obs[i] = o
-		}(i, m)
-	}
-	wg.Wait()
-	return obs
-}
-
-// probe performs one direct healthz GET. Any transport error or non-200
-// is a bad observation — a member answering 503 is telling us it cannot
-// serve, which is exactly what the streak should record.
-func (s *Supervisor) probe(ctx context.Context, url string) (bool, string) {
-	pctx, cancel := context.WithTimeout(ctx, s.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, url+"/v1/healthz", nil)
-	if err != nil {
-		return false, err.Error()
-	}
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return false, err.Error()
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Sprintf("healthz answered HTTP %d", resp.StatusCode)
-	}
-	return true, ""
-}
-
-// reconcileLocked converges the ring toward the desired set. Caller
-// holds s.mu.
-func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router.InstanceState, ringSize int) {
+// reconcileLocked converges the ring toward the desired set, acting
+// only on verdicts: a down member on the ring is drained, an up member
+// off it is (re)joined, and an unknown one is left alone. Caller holds
+// s.mu.
+func (s *Supervisor) reconcileLocked(desired []Member, seen []router.InstanceState) {
 	now := time.Now()
-	desiredSet := make(map[string]bool, len(obs))
+	verdicts := make(map[string]router.InstanceState, len(seen))
+	onRing := make(map[string]router.InstanceState, len(seen))
+	for _, in := range seen {
+		verdicts[in.URL] = in
+		if in.OnRing {
+			onRing[in.URL] = in
+		}
+	}
+	desiredSet := make(map[string]bool, len(desired))
 	unhealthy := 0
 
-	// Streak bookkeeping for every desired member.
-	for _, o := range obs {
-		desiredSet[o.member.URL] = true
-		st := s.states[o.member.URL]
+	// Verdict bookkeeping for every desired member.
+	for _, m := range desired {
+		desiredSet[m.URL] = true
+		st := s.states[m.URL]
 		if st == nil {
-			st = &memberState{member: o.member}
-			s.states[o.member.URL] = st
+			st = &memberState{member: m}
+			s.states[m.URL] = st
 		}
-		st.member = o.member
-		if o.onRing {
+		st.member = m
+		in := verdicts[m.URL] // zero (no verdict) until Watch lands
+		if in.OnRing {
 			st.everOnRing = true
 		}
-		// A bad observation: the direct probe failed, or the router's
-		// prober has independently condemned the member.
-		bad := !o.probeOK || (o.onRing && !o.ringState.Healthy)
-		if bad {
-			st.failStreak++
-			st.okStreak = 0
-			if st.failStreak >= s.cfg.DownAfter && st.downSince.IsZero() {
+		if in.Health == router.HealthDown {
+			unhealthy++
+			if st.downSince.IsZero() {
 				st.downSince = now
 			}
-		} else {
-			st.okStreak++
-			st.failStreak = 0
-		}
-		if !st.downSince.IsZero() {
-			unhealthy++
 		}
 	}
 	// Forget members that are neither desired nor on the ring.
@@ -495,16 +410,18 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 		}
 	}
 
+	// serving counts the members the router may route to: on the ring,
+	// not draining, and not down (unknown is routable).
 	pendingDrains := 0
-	healthyServing := 0
+	serving := 0
 	for _, in := range onRing {
 		if in.Draining {
 			pendingDrains++
-		} else if in.Healthy {
-			healthyServing++
+		} else if in.Health != router.HealthDown {
+			serving++
 		}
 	}
-	s.reg.Gauge(mRingMembers, "Members on the ring at the last reconcile.").Set(int64(ringSize))
+	s.reg.Gauge(mRingMembers, "Members on the ring at the last reconcile.").Set(int64(len(onRing)))
 	s.reg.Gauge(mUnhealthy, "Desired members currently judged unhealthy.").Set(int64(unhealthy))
 	s.reg.Gauge(mDrains, "Drains currently pending on the ring.").Set(int64(pendingDrains))
 
@@ -515,7 +432,7 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 		if !on {
 			return true, "" // off-ring: nothing to disrupt
 		}
-		if ringSize <= 1 {
+		if len(onRing) <= 1 {
 			return false, "last_member"
 		}
 		if in.Draining {
@@ -525,13 +442,13 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 			return false, "drain_concurrency"
 		}
 		// The floor gates the *delta*, not the absolute: removing a
-		// member the ring already counts unhealthy costs no serving
+		// member the router already judges down costs no serving
 		// capacity, so dead members stay removable even below the floor.
-		after := healthyServing
-		if in.Healthy {
+		after := serving
+		if in.Health != router.HealthDown {
 			after--
 		}
-		if after < healthyServing && after < s.cfg.MinHealthy {
+		if after < serving && after < s.cfg.MinHealthy {
 			return false, "min_healthy"
 		}
 		return true, ""
@@ -563,8 +480,8 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 		in := onRing[target]
 		if !in.Draining { // newly started drain consumes budget this tick
 			pendingDrains++
-			if in.Healthy {
-				healthyServing--
+			if in.Health != router.HealthDown {
+				serving--
 			}
 		}
 		s.act(now, action, target, detail)
@@ -586,34 +503,35 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 		s.escalate(st, in, now)
 	}
 
-	// 5b. Drain persistently unhealthy desired members; escalate stuck
+	// 5b. Drain desired members the router judges down; escalate stuck
 	// drains.
-	for _, o := range obs {
-		st := s.states[o.member.URL]
-		if !o.onRing {
+	for _, m := range desired {
+		st := s.states[m.URL]
+		in, on := onRing[m.URL]
+		if !on {
 			st.drainStarted = time.Time{}
 			continue
 		}
-		if st.failStreak >= s.cfg.DownAfter && st.drainStarted.IsZero() && !o.ringState.Draining {
-			startRemoval(st, "drain", fmt.Sprintf("unhealthy for %d consecutive observations (%s)",
-				st.failStreak, o.probeErr))
+		if in.Health == router.HealthDown && st.drainStarted.IsZero() && !in.Draining {
+			startRemoval(st, "drain", "router verdict down")
 		}
-		s.escalate(st, o.ringState, now)
+		s.escalate(st, in, now)
 	}
 
-	// 5c. Join (or rejoin) healthy desired members that are off the
-	// ring. Joins are additive — they never consume disruption budget.
-	for _, o := range obs {
-		st := s.states[o.member.URL]
-		if o.onRing || st.okStreak < s.cfg.UpAfter {
+	// 5c. Join (or rejoin) desired members the router judges up that are
+	// off the ring. Joins are additive — they never consume disruption
+	// budget.
+	for _, m := range desired {
+		st := s.states[m.URL]
+		if in := verdicts[m.URL]; in.OnRing || in.Health != router.HealthUp {
 			continue
 		}
 		action := "join"
 		if st.everOnRing {
 			action = "rejoin"
 		}
-		if _, _, err := s.cfg.Ring.Join(o.member.URL); err != nil {
-			s.log("join failed", "member", o.member.URL, "err", err)
+		if _, _, err := s.cfg.Ring.Join(m.URL); err != nil {
+			s.log("join failed", "member", m.URL, "err", err)
 			continue
 		}
 		st.everOnRing = true
@@ -623,7 +541,7 @@ func (s *Supervisor) reconcileLocked(obs []observation, onRing map[string]router
 				[]float64{0.5, 1, 2.5, 5, 10, 30, 60, 120}).Observe(now.Sub(st.downSince).Seconds())
 			st.downSince = time.Time{}
 		}
-		s.act(now, action, o.member.URL, "")
+		s.act(now, action, m.URL, "")
 	}
 }
 
@@ -662,10 +580,9 @@ func (s *Supervisor) record(a Action) {
 // use; wire it up with router.SetFleetStatus(func() any { return
 // sup.Status() }).
 func (s *Supervisor) Status() Status {
-	ringState := s.cfg.Ring.State()
-	onRing := make(map[string]router.InstanceState, len(ringState.Instances))
-	for _, in := range ringState.Instances {
-		onRing[in.URL] = in
+	seen := make(map[string]router.InstanceState)
+	for _, in := range s.cfg.Ring.State().Instances {
+		seen[in.URL] = in
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -687,15 +604,17 @@ func (s *Supervisor) Status() Status {
 	for k, v := range s.denied {
 		st.BudgetDenied[k] = v
 	}
-	for url, ms := range s.states {
+	for url := range s.states {
+		in := seen[url]
 		mv := memberView{
-			URL:        url,
-			Desired:    desiredSet[url],
-			OKStreak:   ms.okStreak,
-			FailStreak: ms.failStreak,
+			URL:      url,
+			Desired:  desiredSet[url],
+			OnRing:   in.OnRing,
+			Draining: in.Draining,
+			Health:   in.Health,
 		}
-		if in, ok := onRing[url]; ok {
-			mv.OnRing, mv.Draining = true, in.Draining
+		if mv.Health == "" {
+			mv.Health = router.HealthUnknown // not watched (yet)
 		}
 		if p, ok := s.procs[url]; ok {
 			mv.Managed = true

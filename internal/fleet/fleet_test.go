@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"net"
@@ -24,18 +25,24 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// fakeRing is an in-memory Ring with scriptable member health, so the
-// reconcile loop can be stepped deterministically without a router.
+// fakeRing is an in-memory Ring with scripted verdicts, so the
+// reconcile loop can be stepped deterministically without a router or
+// a prober.
 type fakeRing struct {
-	mu      sync.Mutex
-	epoch   uint64
-	order   []string
-	members map[string]*router.InstanceState
-	ops     []string // "join URL", "drain URL", "eject URL"
+	mu       sync.Mutex
+	epoch    uint64
+	order    []string
+	members  map[string]*router.InstanceState
+	watched  []string
+	verdicts map[string]string // URL → router.Health*; absent reads unknown
+	ops      []string          // "join URL", "drain URL", "eject URL"
 }
 
 func newFakeRing() *fakeRing {
-	return &fakeRing{members: make(map[string]*router.InstanceState)}
+	return &fakeRing{
+		members:  make(map[string]*router.InstanceState),
+		verdicts: make(map[string]string),
+	}
 }
 
 // add seeds a member directly, bypassing the op log — "the ring already
@@ -43,16 +50,22 @@ func newFakeRing() *fakeRing {
 func (f *fakeRing) add(url string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.members[url] = &router.InstanceState{URL: url, Healthy: true}
+	f.members[url] = &router.InstanceState{URL: url, OnRing: true}
 	f.order = append(f.order, url)
 }
 
-func (f *fakeRing) setHealthy(url string, ok bool) {
+// setHealth scripts the verdict State reports for url.
+func (f *fakeRing) setHealth(url, health string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if in := f.members[url]; in != nil {
-		in.Healthy = ok
+	f.verdicts[url] = health
+}
+
+func (f *fakeRing) health(url string) string {
+	if h := f.verdicts[url]; h != "" {
+		return h
 	}
+	return router.HealthUnknown
 }
 
 func (f *fakeRing) has(url string) bool {
@@ -74,12 +87,25 @@ func (f *fakeRing) opCount() int {
 	return len(f.ops)
 }
 
+func (f *fakeRing) Watch(urls []string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.watched = append(f.watched[:0], urls...)
+}
+
 func (f *fakeRing) State() router.State {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := router.State{Status: "ok", Epoch: f.epoch}
 	for _, url := range f.order {
-		st.Instances = append(st.Instances, *f.members[url])
+		in := *f.members[url]
+		in.Health = f.health(url)
+		st.Instances = append(st.Instances, in)
+	}
+	for _, url := range f.watched {
+		if f.members[url] == nil {
+			st.Instances = append(st.Instances, router.InstanceState{URL: url, Health: f.health(url)})
+		}
 	}
 	return st
 }
@@ -93,7 +119,7 @@ func (f *fakeRing) Join(url string) (uint64, string, error) {
 		f.epoch++
 		return f.epoch, "rejoined", nil
 	}
-	f.members[url] = &router.InstanceState{URL: url, Healthy: true}
+	f.members[url] = &router.InstanceState{URL: url, OnRing: true}
 	f.order = append(f.order, url)
 	f.epoch++
 	return f.epoch, "joined", nil
@@ -129,27 +155,6 @@ func (f *fakeRing) Eject(url string) (uint64, error) {
 	return f.epoch, nil
 }
 
-// fakeInstance is a healthz endpoint whose answer a test can flip.
-type fakeInstance struct {
-	srv *httptest.Server
-	ok  atomic.Bool
-}
-
-func newFakeInstance() *fakeInstance {
-	fi := &fakeInstance{}
-	fi.ok.Store(true)
-	fi.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/healthz" || !fi.ok.Load() {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	return fi
-}
-
-func (fi *fakeInstance) url() string { return fi.srv.URL }
-
 // fakeSource is a scriptable desired-state Source.
 type fakeSource struct {
 	mu      sync.Mutex
@@ -182,25 +187,23 @@ func (f *fakeSource) Desired(context.Context) ([]Member, error) {
 	return append([]Member(nil), f.members...), nil
 }
 
-// newTestSup builds a supervisor with fast, deterministic settings. The
-// probe client disables keep-alives so no idle-connection goroutines
-// survive into the leak check.
-func newTestSup(t *testing.T, fr *fakeRing, src Source, mut func(*Config)) *Supervisor {
+// Member URLs for the scripted-verdict tests; nothing listens on them.
+const (
+	m1 = "http://m1.test:1"
+	m2 = "http://m2.test:1"
+	m3 = "http://m3.test:1"
+)
+
+// newTestSup builds a supervisor with fast, deterministic settings.
+func newTestSup(t *testing.T, fr Ring, src Source, mut func(*Config)) *Supervisor {
 	t.Helper()
 	cfg := Config{
 		Ring:                fr,
 		Source:              src,
-		ProbeTimeout:        2 * time.Second,
-		DownAfter:           2,
-		UpAfter:             2,
 		MinHealthy:          1,
 		MaxConcurrentDrains: 1,
 		DrainTimeout:        time.Nanosecond,
 		Metrics:             telemetry.NewRegistry(),
-		HTTPClient: &http.Client{
-			Timeout:   2 * time.Second,
-			Transport: &http.Transport{DisableKeepAlives: true},
-		},
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -219,22 +222,25 @@ func tick(s *Supervisor, n int) {
 }
 
 func TestJoinRequiresUpStreak(t *testing.T) {
-	defer leak.Check(t)()
-	fi1, fi2 := newFakeInstance(), newFakeInstance()
-	defer fi1.srv.Close()
-	defer fi2.srv.Close()
 	fr := newFakeRing()
 	src := &fakeSource{}
-	src.set(fi1.url(), fi2.url())
+	src.set(m1, m2)
 	s := newTestSup(t, fr, src, nil)
 
-	tick(s, 1)
-	if fr.has(fi1.url()) || fr.has(fi2.url()) {
-		t.Fatalf("joined after one good observation; UpAfter=2 hysteresis violated")
+	tick(s, 2)
+	if fr.has(m1) || fr.has(m2) {
+		t.Fatal("joined a member whose verdict is still unknown")
 	}
+	fr.setHealth(m1, router.HealthUp)
+	fr.setHealth(m2, router.HealthDown)
 	tick(s, 1)
-	if !fr.has(fi1.url()) || !fr.has(fi2.url()) {
-		t.Fatalf("both members should be on the ring after two good observations")
+	if !fr.has(m1) || fr.has(m2) {
+		t.Fatal("exactly the member judged up should have joined")
+	}
+	fr.setHealth(m2, router.HealthUp)
+	tick(s, 1)
+	if !fr.has(m2) {
+		t.Fatal("a member should join on the tick its verdict turns up")
 	}
 	if got := s.reg.Value(mActions, "action", "join"); got != 2 {
 		t.Fatalf("join actions = %v, want 2", got)
@@ -246,40 +252,34 @@ func TestJoinRequiresUpStreak(t *testing.T) {
 }
 
 func TestDrainEjectRejoinHeal(t *testing.T) {
-	defer leak.Check(t)()
-	fi1, fi2 := newFakeInstance(), newFakeInstance()
-	defer fi1.srv.Close()
-	defer fi2.srv.Close()
 	fr := newFakeRing()
 	src := &fakeSource{}
-	src.set(fi1.url(), fi2.url())
-	s := newTestSup(t, fr, src, func(c *Config) { c.UpAfter = 1 })
+	src.set(m1, m2)
+	fr.setHealth(m1, router.HealthUp)
+	fr.setHealth(m2, router.HealthUp)
+	s := newTestSup(t, fr, src, nil)
 
-	tick(s, 1) // both join immediately (UpAfter=1)
-	if !fr.has(fi1.url()) || !fr.has(fi2.url()) {
+	tick(s, 1)
+	if !fr.has(m1) || !fr.has(m2) {
 		t.Fatal("setup: both members should be on the ring")
 	}
 
-	fi2.ok.Store(false)
-	tick(s, 1) // failStreak 1 < DownAfter
-	if fr.draining(fi2.url()) {
-		t.Fatal("drained after a single bad observation; DownAfter=2 hysteresis violated")
-	}
-	tick(s, 1) // failStreak 2 → drain
-	if !fr.draining(fi2.url()) {
-		t.Fatal("member should be draining after DownAfter bad observations")
+	fr.setHealth(m2, router.HealthDown)
+	tick(s, 1)
+	if !fr.draining(m2) {
+		t.Fatal("a member judged down should be draining")
 	}
 	tick(s, 1) // drain outlives DrainTimeout → eject
-	if fr.has(fi2.url()) {
+	if fr.has(m2) {
 		t.Fatal("stuck drain should have escalated to eject")
 	}
-	if !fr.has(fi1.url()) {
+	if !fr.has(m1) {
 		t.Fatal("healthy member must be untouched throughout")
 	}
 
-	fi2.ok.Store(true)
+	fr.setHealth(m2, router.HealthUp)
 	tick(s, 1) // recovery → rejoin, heal duration observed
-	if !fr.has(fi2.url()) {
+	if !fr.has(m2) {
 		t.Fatal("recovered member should have rejoined")
 	}
 	st := s.Status()
@@ -297,18 +297,15 @@ func TestDrainEjectRejoinHeal(t *testing.T) {
 }
 
 func TestBudgetLastMember(t *testing.T) {
-	defer leak.Check(t)()
-	fi := newFakeInstance()
-	defer fi.srv.Close()
-	fi.ok.Store(false)
 	fr := newFakeRing()
-	fr.add(fi.url())
+	fr.add(m1)
+	fr.setHealth(m1, router.HealthDown)
 	src := &fakeSource{}
-	src.set(fi.url())
-	s := newTestSup(t, fr, src, func(c *Config) { c.DownAfter = 1 })
+	src.set(m1)
+	s := newTestSup(t, fr, src, nil)
 
 	tick(s, 3)
-	if !fr.has(fi.url()) || fr.draining(fi.url()) {
+	if !fr.has(m1) || fr.draining(m1) {
 		t.Fatal("the last ring member must never be drained, however unhealthy")
 	}
 	if got := s.reg.Value(mDenied, "reason", "last_member"); got < 1 {
@@ -320,30 +317,24 @@ func TestBudgetLastMember(t *testing.T) {
 }
 
 func TestBudgetDrainConcurrency(t *testing.T) {
-	defer leak.Check(t)()
-	fis := []*fakeInstance{newFakeInstance(), newFakeInstance(), newFakeInstance()}
-	for _, fi := range fis {
-		defer fi.srv.Close()
-	}
 	fr := newFakeRing()
-	var urls []string
-	for _, fi := range fis {
-		fr.add(fi.url())
-		urls = append(urls, fi.url())
+	urls := []string{m1, m2, m3}
+	for _, u := range urls {
+		fr.add(u)
 	}
 	src := &fakeSource{}
 	src.set(urls...)
-	fis[1].ok.Store(false)
-	fis[2].ok.Store(false)
+	fr.setHealth(m1, router.HealthUp)
+	fr.setHealth(m2, router.HealthDown)
+	fr.setHealth(m3, router.HealthDown)
 	s := newTestSup(t, fr, src, func(c *Config) {
-		c.DownAfter = 1
 		c.DrainTimeout = time.Hour // keep the first drain pending
 	})
 
 	tick(s, 1)
-	d1, d2 := fr.draining(urls[1]), fr.draining(urls[2])
-	if !d1 || d2 {
-		t.Fatalf("exactly the first unhealthy member should drain (got %v, %v); MaxConcurrentDrains=1", d1, d2)
+	d2, d3 := fr.draining(m2), fr.draining(m3)
+	if !d2 || d3 {
+		t.Fatalf("exactly the first unhealthy member should drain (got %v, %v); MaxConcurrentDrains=1", d2, d3)
 	}
 	if got := s.reg.Value(mDenied, "reason", "drain_concurrency"); got != 1 {
 		t.Fatalf("drain_concurrency denials = %v, want 1", got)
@@ -351,84 +342,230 @@ func TestBudgetDrainConcurrency(t *testing.T) {
 }
 
 func TestBudgetMinHealthy(t *testing.T) {
-	defer leak.Check(t)()
-	fi1, fi2 := newFakeInstance(), newFakeInstance()
-	defer fi1.srv.Close()
-	defer fi2.srv.Close()
 	fr := newFakeRing()
-	fr.add(fi1.url())
-	fr.add(fi2.url())
+	fr.add(m1)
+	fr.add(m2)
+	fr.setHealth(m1, router.HealthUp)
+	fr.setHealth(m2, router.HealthUp)
 	src := &fakeSource{}
-	src.set(fi1.url(), fi2.url())
-	fi2.ok.Store(false) // probe says down, but the ring still counts it healthy
+	src.set(m1) // m2 is serving but no longer desired
 	s := newTestSup(t, fr, src, func(c *Config) {
-		c.DownAfter = 1
 		c.MinHealthy = 2
 		c.DrainTimeout = time.Hour
 	})
 
 	tick(s, 2)
-	if fr.draining(fi2.url()) {
-		t.Fatal("draining a ring-healthy member below the MinHealthy floor must be refused")
+	if fr.draining(m2) {
+		t.Fatal("removing a serving member below the MinHealthy floor must be refused")
 	}
 	if got := s.reg.Value(mDenied, "reason", "min_healthy"); got < 1 {
 		t.Fatalf("min_healthy denials = %v, want >= 1", got)
 	}
 
-	// Once the ring itself marks the member unhealthy, removing it costs
-	// no serving capacity — it must be removable even below the floor.
-	fr.setHealthy(fi2.url(), false)
+	// Once the router judges the member down, removing it costs no
+	// serving capacity — it must be removable even below the floor.
+	fr.setHealth(m2, router.HealthDown)
 	tick(s, 1)
-	if !fr.draining(fi2.url()) {
-		t.Fatal("a ring-unhealthy member must be removable below the MinHealthy floor")
+	if !fr.draining(m2) {
+		t.Fatal("a member judged down must be removable below the MinHealthy floor")
 	}
 }
 
+// TestFlappingNeverOscillatesRing runs the supervisor against a real
+// router whose two candidate members flap pass/fail on alternate
+// healthz probes — one on the ring, one only watched. The prober never
+// completes a streak, so neither verdict leaves unknown and the
+// supervisor neither joins the one nor drains the other.
 func TestFlappingNeverOscillatesRing(t *testing.T) {
 	defer leak.Check(t)()
-	off, on := newFakeInstance(), newFakeInstance()
-	defer off.srv.Close()
-	defer on.srv.Close()
-	fr := newFakeRing()
-	fr.add(on.url()) // the on-ring flapper
-	src := &fakeSource{}
-	src.set(off.url(), on.url())
-	s := newTestSup(t, fr, src, nil) // DownAfter=2, UpAfter=2
-
-	// Strict alternation: no streak ever reaches 2, so neither the
-	// off-ring member joining nor the on-ring member draining may fire.
-	for i := range 8 {
-		good := i%2 == 0
-		off.ok.Store(good)
-		on.ok.Store(good)
-		tick(s, 1)
+	flapper := func() *httptest.Server {
+		var n atomic.Int64
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if n.Add(1)%2 == 0 {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				return
+			}
+			w.WriteHeader(http.StatusOK)
+		}))
 	}
-	if n := fr.opCount(); n != 0 {
-		t.Fatalf("flapping members caused %d ring operations, want 0 (hysteresis failed)", n)
+	on, off := flapper(), flapper()
+	defer on.Close()
+	defer off.Close()
+	rt, err := router.New(router.Config{
+		Backends:       []string{on.URL},
+		HealthInterval: 5 * time.Millisecond,
+		Metrics:        telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	src := &fakeSource{}
+	src.set(on.URL, off.URL)
+	s := newTestSup(t, rt, src, nil)
+
+	for range 20 {
+		tick(s, 1)
+		time.Sleep(10 * time.Millisecond)
+	}
+	st := rt.State()
+	if st.Epoch != 1 || len(st.Instances) != 2 || !st.Instances[0].OnRing || st.Instances[0].Draining {
+		t.Fatalf("flapping members moved the ring (hysteresis failed): %+v", st)
+	}
+	for _, in := range st.Instances {
+		if in.Health != router.HealthUnknown {
+			t.Fatalf("%s verdict %q under strict alternation, want unknown", in.URL, in.Health)
+		}
+	}
+	if n := len(s.Status().ActionCounts); n != 0 {
+		t.Fatalf("supervisor acted on flapping members: %v", s.Status().ActionCounts)
+	}
+}
+
+// TestOneHealthObserver: a router and a supervisor over the same
+// members send one stream of healthz probes, not two — the router's
+// prober is the only observer, at most one GET per URL per interval,
+// whether the URL is a ring member or a candidate the supervisor has
+// it watch.
+func TestOneHealthObserver(t *testing.T) {
+	defer leak.Check(t)()
+	var gets [2]atomic.Int64
+	backend := func(i int) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/healthz" {
+				gets[i].Add(1)
+			}
+			w.WriteHeader(http.StatusOK)
+		}))
+	}
+	on, off := backend(0), backend(1)
+	defer on.Close()
+	defer off.Close()
+
+	const interval = 50 * time.Millisecond
+	start := time.Now()
+	rt, err := router.New(router.Config{
+		Backends:       []string{on.URL},
+		HealthInterval: interval,
+		Metrics:        telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &fakeSource{}
+	src.set(on.URL, off.URL)
+	s := newTestSup(t, rt, src, func(c *Config) { c.Interval = interval })
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Run(ctx)
+	}()
+	time.Sleep(10 * interval)
+	cancel()
+	<-done
+	rt.Close()
+	n := int64(time.Since(start) / interval)
+
+	for i, url := range []string{on.URL, off.URL} {
+		if got := gets[i].Load(); got > n+1 {
+			t.Errorf("%s served %d healthz GETs in %d probe intervals, want <= %d", url, got, n, n+1)
+		}
+	}
+	if st := s.Status(); st.ActionCounts["join"] != 1 {
+		t.Errorf("the watched candidate should have joined on the router's verdict: %+v", st)
+	}
+}
+
+// TestUnobservedMembersReportUnknown: before the prober completes a
+// streak, a ring member and a watched candidate both report unknown —
+// in the router's /v1/healthz, its instance gauge and /v1/fleet — and
+// the supervisor neither drains the one nor joins the other.
+func TestUnobservedMembersReportUnknown(t *testing.T) {
+	defer leak.Check(t)()
+	member := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer member.Close()
+	const candidate = "http://candidate.test:1"
+	reg := telemetry.NewRegistry()
+	rt, err := router.New(router.Config{
+		Backends:       []string{member.URL},
+		HealthInterval: time.Hour, // one probe round, at New: no streak
+		Metrics:        reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	src := &fakeSource{}
+	src.set(member.URL, candidate)
+	s := newTestSup(t, rt, src, func(c *Config) { c.Metrics = reg })
+	rt.SetFleetStatus(func() any { return s.Status() })
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	tick(s, 3)
+
+	get := func(path string, dst any) {
+		t.Helper()
+		resp, err := http.Get(front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(dst); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d (%v)", path, resp.StatusCode, err)
+		}
+	}
+	var hz router.State
+	var fv struct {
+		Router     router.State `json:"router"`
+		Supervisor Status       `json:"supervisor"`
+	}
+	get("/v1/healthz", &hz)
+	get("/v1/fleet", &fv)
+	for _, st := range []router.State{hz, fv.Router} {
+		if st.Status != "degraded" || len(st.Instances) != 2 {
+			t.Fatalf("router state = %+v, want degraded with a member and a candidate", st)
+		}
+		for _, in := range st.Instances {
+			if in.Health != router.HealthUnknown || in.OnRing != (in.URL == member.URL) {
+				t.Fatalf("router reports %+v, want unknown (member on the ring, candidate off)", in)
+			}
+		}
+	}
+	for _, mv := range fv.Supervisor.Members {
+		if mv.Health != router.HealthUnknown {
+			t.Fatalf("/v1/fleet supervisor view %+v, want health unknown", mv)
+		}
+	}
+	if len(fv.Supervisor.ActionCounts) != 0 || rt.State().Epoch != 1 {
+		t.Fatalf("supervisor acted on unknown verdicts: %v (epoch %d)", fv.Supervisor.ActionCounts, rt.State().Epoch)
+	}
+	var buf bytes.Buffer
+	reg.WritePrometheus(&buf)
+	if want := `queryvis_router_instance_healthy{instance="` + member.URL + `"} 0`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("metrics exposition lacks %q for an unobserved member", want)
 	}
 }
 
 func TestRemoveUndesiredMember(t *testing.T) {
-	defer leak.Check(t)()
-	keep, extra := newFakeInstance(), newFakeInstance()
-	defer keep.srv.Close()
-	defer extra.srv.Close()
 	fr := newFakeRing()
-	fr.add(keep.url())
-	fr.add(extra.url())
+	fr.add(m1)
+	fr.add(m2)
 	src := &fakeSource{}
-	src.set(keep.url()) // extra is on the ring but not desired
+	src.set(m1) // m2 is on the ring but not desired
 	s := newTestSup(t, fr, src, nil)
 
 	tick(s, 1)
-	if !fr.draining(extra.url()) {
+	if !fr.draining(m2) {
 		t.Fatal("undesired member should be draining after the first reconcile")
 	}
 	tick(s, 1) // escalation past DrainTimeout
-	if fr.has(extra.url()) {
+	if fr.has(m2) {
 		t.Fatal("undesired member should be ejected once its drain escalates")
 	}
-	if !fr.has(keep.url()) {
+	if !fr.has(m1) {
 		t.Fatal("desired member must survive")
 	}
 	st := s.Status()
@@ -438,27 +575,25 @@ func TestRemoveUndesiredMember(t *testing.T) {
 }
 
 func TestSourceErrorKeepsLastGoodSet(t *testing.T) {
-	defer leak.Check(t)()
-	fi := newFakeInstance()
-	defer fi.srv.Close()
 	fr := newFakeRing()
+	fr.setHealth(m1, router.HealthUp)
 	src := &fakeSource{}
-	src.set(fi.url())
+	src.set(m1)
 	s := newTestSup(t, fr, src, nil)
 
-	tick(s, 2)
-	if !fr.has(fi.url()) {
+	tick(s, 1)
+	if !fr.has(m1) {
 		t.Fatal("setup: member should have joined")
 	}
 
 	src.fail(errors.New("torn spec file"))
 	tick(s, 3)
-	if !fr.has(fi.url()) || fr.draining(fi.url()) {
+	if !fr.has(m1) || fr.draining(m1) {
 		t.Fatal("a source error must not read as scale-to-zero; last good set should hold")
 	}
 	st := s.Status()
-	if len(st.Desired) != 1 || st.Desired[0] != fi.url() {
-		t.Fatalf("desired set = %v, want last good [%s]", st.Desired, fi.url())
+	if len(st.Desired) != 1 || st.Desired[0] != m1 {
+		t.Fatalf("desired set = %v, want last good [%s]", st.Desired, m1)
 	}
 	if got := s.reg.Value(mReconcileErr, "kind", "source"); got != 3 {
 		t.Fatalf("source error counter = %v, want 3", got)
@@ -466,16 +601,13 @@ func TestSourceErrorKeepsLastGoodSet(t *testing.T) {
 }
 
 func TestSourceNeverGoodHoldsOff(t *testing.T) {
-	defer leak.Check(t)()
-	fi := newFakeInstance()
-	defer fi.srv.Close()
-	fi2 := newFakeInstance()
-	defer fi2.srv.Close()
 	// Two seeded members: with only one, the last-member budget rule
 	// would mask the regression this test exists to catch.
 	fr := newFakeRing()
-	fr.add(fi.url())
-	fr.add(fi2.url())
+	fr.add(m1)
+	fr.add(m2)
+	fr.setHealth(m1, router.HealthUp)
+	fr.setHealth(m2, router.HealthUp)
 	src := &fakeSource{}
 	src.fail(errors.New("spec missing at boot"))
 	s := newTestSup(t, fr, src, nil)
@@ -486,7 +618,7 @@ func TestSourceNeverGoodHoldsOff(t *testing.T) {
 	if got := fr.opCount(); got != 0 {
 		t.Fatalf("ring ops before first good read = %d, want 0", got)
 	}
-	if !fr.has(fi.url()) || fr.draining(fi.url()) {
+	if !fr.has(m1) || fr.draining(m1) {
 		t.Fatal("seeded members must be untouched while the source has never succeeded")
 	}
 	if got := s.reg.Value(mReconciles); got != 4 {
@@ -494,13 +626,13 @@ func TestSourceNeverGoodHoldsOff(t *testing.T) {
 	}
 
 	// First good read unfreezes the loop.
-	src.set(fi.url(), fi2.url())
+	src.set(m1, m2)
 	tick(s, 2)
 	st := s.Status()
 	if len(st.Desired) != 2 {
 		t.Fatalf("desired set after recovery = %v, want both members", st.Desired)
 	}
-	if !fr.has(fi.url()) || !fr.has(fi2.url()) {
+	if !fr.has(m1) || !fr.has(m2) {
 		t.Fatal("members must stay on the ring after the source recovers")
 	}
 }
@@ -526,11 +658,17 @@ func TestSpecSource(t *testing.T) {
 	if len(ms) != 2 || ms[1].URL != "http://127.0.0.1:8082" || len(ms[1].Args) != 2 {
 		t.Fatalf("parsed spec = %+v", ms)
 	}
+	// URLs come back in the router's spelling, the one its verdicts use.
+	slash := write("slash.json", `{"instances": [{"url": " http://127.0.0.1:8081/ "}]}`)
+	if ms, err := (&SpecSource{Path: slash}).Desired(context.Background()); err != nil || ms[0].URL != "http://127.0.0.1:8081" {
+		t.Fatalf("spec URL not normalized: %+v (err %v)", ms, err)
+	}
 
 	for name, body := range map[string]string{
-		"nourl.json": `{"instances": [{"args": ["-x"]}]}`,
-		"dup.json":   `{"instances": [{"url": "http://a:1"}, {"url": "http://a:1"}]}`,
-		"torn.json":  `{"instances": [{"url": "http://a`,
+		"nourl.json":   `{"instances": [{"args": ["-x"]}]}`,
+		"notHTTP.json": `{"instances": [{"url": "ftp://a:1"}]}`,
+		"dup.json":     `{"instances": [{"url": "http://a:1"}, {"url": "http://a:1/"}]}`,
+		"torn.json":    `{"instances": [{"url": "http://a`,
 	} {
 		if _, err := (&SpecSource{Path: write(name, body)}).Desired(context.Background()); err == nil {
 			t.Errorf("%s: want error, got none", name)
@@ -583,11 +721,9 @@ func TestSRVSource(t *testing.T) {
 func TestSpawnRespawnWithBackoff(t *testing.T) {
 	defer leak.Check(t)()
 	defer leak.CheckChildren(t)()
-	fi := newFakeInstance()
-	defer fi.srv.Close()
 	fr := newFakeRing()
 	src := &fakeSource{}
-	src.set(fi.url())
+	src.set(m1)
 	s := newTestSup(t, fr, src, func(c *Config) {
 		c.RespawnBase = 20 * time.Millisecond
 		c.RespawnMax = 50 * time.Millisecond
@@ -615,7 +751,7 @@ func TestSpawnRespawnWithBackoff(t *testing.T) {
 	st := s.Status()
 	var mv *memberView
 	for i := range st.Members {
-		if st.Members[i].URL == fi.url() {
+		if st.Members[i].URL == m1 {
 			mv = &st.Members[i]
 		}
 	}
@@ -627,11 +763,9 @@ func TestSpawnRespawnWithBackoff(t *testing.T) {
 func TestSpawnStopsUndesiredAndShutsDown(t *testing.T) {
 	defer leak.Check(t)()
 	defer leak.CheckChildren(t)()
-	fi := newFakeInstance()
-	defer fi.srv.Close()
 	fr := newFakeRing()
 	src := &fakeSource{}
-	src.set(fi.url())
+	src.set(m1)
 	s := newTestSup(t, fr, src, func(c *Config) {
 		c.Spawn = func(m Member) (*exec.Cmd, error) {
 			return exec.Command("sleep", "60"), nil
@@ -641,7 +775,7 @@ func TestSpawnStopsUndesiredAndShutsDown(t *testing.T) {
 
 	tick(s, 1)
 	s.mu.Lock()
-	p := s.procs[fi.url()]
+	p := s.procs[m1]
 	s.mu.Unlock()
 	if p == nil || !p.running() {
 		t.Fatal("desired member should have a live managed process")
@@ -663,16 +797,17 @@ func TestSpawnStopsUndesiredAndShutsDown(t *testing.T) {
 
 func TestFleetMetricsGolden(t *testing.T) {
 	defer leak.Check(t)()
-	fi1, fi2 := newFakeInstance(), newFakeInstance()
-	defer fi1.srv.Close()
-	defer fi2.srv.Close()
 	fr := newFakeRing()
 	src := &fakeSource{}
-	src.set(fi1.url(), fi2.url())
+	src.set(m1, m2)
 	s := newTestSup(t, fr, src, nil)
 
-	// Three ticks: streaks build (1), both join (2), gauges settle (3).
-	tick(s, 3)
+	// Three ticks: verdicts still unknown (1), both judged up and
+	// joined (2), gauges settle (3).
+	tick(s, 1)
+	fr.setHealth(m1, router.HealthUp)
+	fr.setHealth(m2, router.HealthUp)
+	tick(s, 2)
 
 	var buf bytes.Buffer
 	s.reg.WritePrometheus(&buf)

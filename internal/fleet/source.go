@@ -8,6 +8,8 @@ import (
 	"os"
 	"sort"
 	"strconv"
+
+	"repro/internal/router"
 )
 
 // Member is one desired fleet member: where it serves, and (spawn mode
@@ -60,13 +62,15 @@ func (s *SpecSource) Desired(_ context.Context) ([]Member, error) {
 	}
 	seen := make(map[string]bool, len(spec.Instances))
 	for i, m := range spec.Instances {
-		if m.URL == "" {
-			return nil, fmt.Errorf("fleet: spec %s: instances[%d] has no url", s.Path, i)
+		u, err := router.NormalizeMember(m.URL) // verdicts are reported under this spelling
+		if err != nil {
+			return nil, fmt.Errorf("fleet: spec %s: instances[%d]: %w", s.Path, i, err)
 		}
-		if seen[m.URL] {
-			return nil, fmt.Errorf("fleet: spec %s: duplicate instance url %q", s.Path, m.URL)
+		if seen[u] {
+			return nil, fmt.Errorf("fleet: spec %s: duplicate instance url %q", s.Path, u)
 		}
-		seen[m.URL] = true
+		seen[u] = true
+		spec.Instances[i].URL = u
 	}
 	return spec.Instances, nil
 }

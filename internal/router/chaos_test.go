@@ -83,17 +83,19 @@ func TestRouterKillStorm(t *testing.T) {
 	}
 
 	// One chaos goroutine triggers the kills at request-count milestones
-	// so they land mid-storm regardless of wall-clock speed.
-	killed := make(chan struct{})
+	// so they land mid-storm regardless of wall-clock speed. A failing
+	// test stops it through stop rather than leaving it to spin.
+	killed, stop := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(stop); <-killed })
 	go func() {
 		defer close(killed)
-		for started.Load() < kill1 {
-			time.Sleep(time.Millisecond)
+		if !awaitStarted(&started, kill1, stop) {
+			return
 		}
 		ring[0].Kill()
 		t.Log("killed instance 0")
-		for started.Load() < kill2 {
-			time.Sleep(time.Millisecond)
+		if !awaitStarted(&started, kill2, stop) {
+			return
 		}
 		ring[1].Kill()
 		t.Log("killed instance 1")
@@ -199,14 +201,27 @@ func TestRouterKillStorm(t *testing.T) {
 		t.Fatalf("survivor unreachable after storm: status %d body %.200s", st, raw)
 	}
 	waitUntil(t, 5*time.Second, func() bool {
-		healthy := 0
+		up := 0
 		for _, in := range rt.State().Instances {
-			if in.Healthy {
-				healthy++
+			if in.Health == router.HealthUp {
+				up++
 			}
 		}
-		return healthy == 1
+		return up == 1
 	})
+}
+
+// awaitStarted polls started until it reaches n, reporting false when
+// stop closes first.
+func awaitStarted(started *atomic.Int64, n int64, stop <-chan struct{}) bool {
+	for started.Load() < n {
+		select {
+		case <-stop:
+			return false
+		case <-time.After(time.Millisecond):
+		}
+	}
+	return true
 }
 
 // TestRouterSurvivesColdStartAgainstDeadRing: a router brought up

@@ -108,11 +108,6 @@ func TestRouterMembershipChurn(t *testing.T) {
 		}
 	}
 
-	waitStarted := func(n int64) {
-		for started.Load() < n {
-			time.Sleep(time.Millisecond)
-		}
-	}
 	// replace drains old, waits for the drain waiter to remove it from
 	// the membership, then kills the process — the rolling-restart move.
 	replace := func(old *testInstance, label string) {
@@ -141,22 +136,33 @@ func TestRouterMembershipChurn(t *testing.T) {
 		t.Logf("replaced instance %s (drained, removed, killed)", label)
 	}
 
-	churned := make(chan struct{})
+	// The churn goroutine steps at request-count milestones; a failing
+	// test stops it through stop rather than leaving it to spin.
+	churned, stop := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(stop); <-churned })
 	go func() {
 		defer close(churned)
-		waitStarted(mJoinD)
+		if !awaitStarted(&started, mJoinD, stop) {
+			return
+		}
 		d := startInstance(t)
 		if st, err := churnAdmin(front.URL, http.MethodPost, "/v1/ring/instances", token, d.URL); err != nil || st != http.StatusOK {
 			t.Errorf("join d: status %d err %v", st, err)
 		}
-		waitStarted(mDrainA)
+		if !awaitStarted(&started, mDrainA, stop) {
+			return
+		}
 		replace(a, "a")
-		waitStarted(mJoinE)
+		if !awaitStarted(&started, mJoinE, stop) {
+			return
+		}
 		e := startInstance(t)
 		if st, err := churnAdmin(front.URL, http.MethodPost, "/v1/ring/instances", token, e.URL); err != nil || st != http.StatusOK {
 			t.Errorf("join e: status %d err %v", st, err)
 		}
-		waitStarted(mDrainB)
+		if !awaitStarted(&started, mDrainB, stop) {
+			return
+		}
 		replace(b, "b")
 	}()
 

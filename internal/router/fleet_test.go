@@ -144,8 +144,8 @@ func TestFleetObservability(t *testing.T) {
 	var fleet struct {
 		Router struct {
 			Instances []struct {
-				URL     string `json:"url"`
-				Healthy bool   `json:"healthy"`
+				URL    string `json:"url"`
+				Health string `json:"health"`
 			} `json:"instances"`
 		} `json:"router"`
 		Members []struct {

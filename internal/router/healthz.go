@@ -3,15 +3,18 @@ package router
 import (
 	"encoding/json"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 )
 
-// InstanceState is one ring member's health as the router sees it,
-// embedded in the router's /v1/healthz.
+// InstanceState is one observed URL's health as the router sees it,
+// embedded in the router's /v1/healthz: every ring member, then every
+// watched URL off the ring (OnRing false, request-path fields zero).
 type InstanceState struct {
-	URL     string `json:"url"`
-	Healthy bool   `json:"healthy"`
+	URL    string `json:"url"`
+	Health string `json:"health"` // HealthUnknown, HealthUp or HealthDown
+	OnRing bool   `json:"on_ring"`
 	// Draining means the admin surface is retiring this member: no new
 	// assignments; removal lands when Inflight holds at zero.
 	Draining bool `json:"draining"`
@@ -39,8 +42,9 @@ type StampedeState struct {
 
 // State is the router's health snapshot.
 type State struct {
-	// Status is "ok" (whole ring eligible), "degraded" (partially), or
-	// "unhealthy" (no instance eligible; healthz also answers 503).
+	// Status is "ok" (every member eligible and observed up),
+	// "degraded" (some member eligible, but not all of them up), or
+	// "unhealthy" (no member eligible; healthz also answers 503).
 	Status string `json:"status"`
 	// Epoch is the topology version; it bumps on every join/eject.
 	Epoch     uint64          `json:"epoch"`
@@ -80,14 +84,18 @@ func (rt *Router) State() State {
 			Inserts:   int64(rt.stampedeCount("insert").Value()),
 		}
 	}
-	eligible := 0
+	eligible, serving := 0, 0
 	for _, in := range tp.insts {
 		if in.eligible(now) {
 			eligible++
+			if in.health.get() == up {
+				serving++
+			}
 		}
 		st.Instances = append(st.Instances, InstanceState{
 			URL:                 in.url,
-			Healthy:             in.healthy.Load(),
+			Health:              verdictNames[in.health.get()],
+			OnRing:              true,
 			Draining:            in.draining.Load(),
 			BreakerOpen:         in.breakerOpen(now),
 			ConsecutiveFailures: in.consecFails.Load(),
@@ -96,11 +104,19 @@ func (rt *Router) State() State {
 			Failures:            int64(rt.reg.Value(mInstFails, "instance", in.url)),
 		})
 	}
-	switch eligible {
-	case len(tp.insts):
-		st.Status = "ok"
-	case 0:
+	var off []InstanceState
+	for url, t := range rt.probeTargets() {
+		if tp.find(url) == nil {
+			off = append(off, InstanceState{URL: url, Health: verdictNames[t.get()]})
+		}
+	}
+	sort.Slice(off, func(i, j int) bool { return off[i].URL < off[j].URL })
+	st.Instances = append(st.Instances, off...)
+	switch {
+	case eligible == 0:
 		st.Status = "unhealthy"
+	case serving == len(tp.insts):
+		st.Status = "ok"
 	default:
 		st.Status = "degraded"
 	}

@@ -45,8 +45,8 @@ var ErrLastMember = errors.New("router: cannot remove the last ring member")
 // on the ring.
 var ErrUnknownMember = errors.New("router: no such ring member")
 
-// normalizeMember validates and canonicalizes an instance base URL.
-func normalizeMember(raw string) (string, error) {
+// NormalizeMember validates and canonicalizes an instance base URL.
+func NormalizeMember(raw string) (string, error) {
 	s := strings.TrimRight(strings.TrimSpace(raw), "/")
 	u, err := url.Parse(s)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
@@ -70,9 +70,7 @@ func (rt *Router) swap(members []string) *topology {
 			nt.insts[i] = in
 			continue
 		}
-		in := &instance{url: m}
-		in.healthy.Store(true) // optimistic: see instance.healthy
-		nt.insts[i] = in
+		nt.insts[i] = &instance{url: m, health: rt.trackerOf(m)}
 	}
 	rt.topo.Store(nt)
 	return nt
@@ -80,12 +78,13 @@ func (rt *Router) swap(members []string) *topology {
 
 // Join adds url to the ring (or readmits a draining member) and
 // returns the resulting epoch. Joining an existing active member is a
-// no-op reporting the current epoch. The joined instance starts
-// optimistically healthy and is probed from the next prober cycle; by
-// the minimal-movement property of the identity-keyed ring, only the
+// no-op reporting the current epoch. The joined instance carries its
+// URL's verdict when the prober already watches it, and otherwise
+// starts unknown (routable) until the prober's first streak; by the
+// minimal-movement property of the identity-keyed ring, only the
 // ~K/(N+1) keys the newcomer wins move to it.
 func (rt *Router) Join(rawURL string) (epoch uint64, status string, err error) {
-	u, err := normalizeMember(rawURL)
+	u, err := NormalizeMember(rawURL)
 	if err != nil {
 		return 0, "", err
 	}
@@ -116,7 +115,7 @@ func (rt *Router) Join(rawURL string) (epoch uint64, status string, err error) {
 // own; new assignments stop with the swap. The last member cannot be
 // ejected.
 func (rt *Router) Eject(rawURL string) (epoch uint64, err error) {
-	u, err := normalizeMember(rawURL)
+	u, err := NormalizeMember(rawURL)
 	if err != nil {
 		return 0, err
 	}
@@ -148,7 +147,7 @@ func (rt *Router) Eject(rawURL string) (epoch uint64, err error) {
 // member parks it — the waiter retries until another instance joins or
 // the router closes. Idempotent while a drain is pending.
 func (rt *Router) Drain(rawURL string) (epoch uint64, err error) {
-	u, err := normalizeMember(rawURL)
+	u, err := NormalizeMember(rawURL)
 	if err != nil {
 		return 0, err
 	}
@@ -228,8 +227,8 @@ func (rt *Router) registerInstanceSeries(url string) {
 	rt.seenURLs[url] = true
 	rt.reg.Counter(mInstReqs, "Proxied attempts per instance.", "instance", url)
 	rt.reg.Counter(mInstFails, "Failed attempts per instance.", "instance", url)
-	rt.reg.GaugeFunc(mInstUp, "Prober verdict per instance (1 healthy).", func() float64 {
-		if in := rt.findInstance(url); in != nil && in.healthy.Load() {
+	rt.reg.GaugeFunc(mInstUp, "Prober verdict per instance (1 up; 0 unknown or down).", func() float64 {
+		if in := rt.findInstance(url); in != nil && in.health.get() == up {
 			return 1
 		}
 		return 0

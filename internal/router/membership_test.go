@@ -334,13 +334,13 @@ func TestDrainMovesNothingUntilRemoval(t *testing.T) {
 // TestProbeHysteresisFiltersFlapping: an instance whose healthz flaps
 // pass/fail on alternate probes never accumulates the consecutive
 // streak needed to flip the verdict — the ring's eligibility set holds
-// steady. A solid failure streak still marks it down.
+// steady. A solid failure streak still marks it down, and a solid
+// recovery streak brings it back up.
 func TestProbeHysteresisFiltersFlapping(t *testing.T) {
 	t.Cleanup(leak.Check(t))
 	var flap atomic.Int64 // alternation counter while flapping
 	var flapping atomic.Bool
 	var solid atomic.Bool // healthz always fails when true
-	flapping.Store(true)
 	hf := func(i int) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/healthz" {
@@ -357,26 +357,27 @@ func TestProbeHysteresisFiltersFlapping(t *testing.T) {
 	}
 	rt, _, _ := fakeRing(t, 1, hf, func(c *router.Config) {
 		c.HealthInterval = 10 * time.Millisecond
-		c.ProbeDownAfter = 2
-		c.ProbeUpAfter = 2
 	})
+	health := func() string { return rt.State().Instances[0].Health }
+	waitUntil(t, 5*time.Second, func() bool { return health() == router.HealthUp })
 
 	// Flapping phase: ~30 probe cycles, verdict must never flip.
+	flapping.Store(true)
 	deadline := time.Now().Add(400 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if !rt.State().Instances[0].Healthy {
-			t.Fatal("alternating probe failures flipped the verdict despite hysteresis")
+		if h := health(); h != router.HealthUp {
+			t.Fatalf("alternating probe failures flipped the verdict to %q despite hysteresis", h)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Solid failure: two consecutive misses mark it down…
 	solid.Store(true)
-	waitUntil(t, 5*time.Second, func() bool { return !rt.State().Instances[0].Healthy })
-	// …and a solid recovery streak readmits it.
+	waitUntil(t, 5*time.Second, func() bool { return health() == router.HealthDown })
+	// …and a solid recovery streak brings it back up.
 	flapping.Store(false)
 	solid.Store(false)
-	waitUntil(t, 5*time.Second, func() bool { return rt.State().Instances[0].Healthy })
+	waitUntil(t, 5*time.Second, func() bool { return health() == router.HealthUp })
 }
 
 // TestHotPatternReplicationSpreadsViralKey: a pattern pushed past the

@@ -49,8 +49,7 @@ func TestShedRetryAfterSurvivesFailover(t *testing.T) {
 
 	rt, err := router.New(router.Config{
 		Backends:         []string{shedder.URL, deadBackendURL(t), deadBackendURL(t)},
-		HealthInterval:   time.Hour, // no probes mid-test: all members stay eligible
-		ProbeDownAfter:   100,
+		HealthInterval:   time.Hour, // one probe round only: no member reaches a down streak
 		BreakerThreshold: 100,
 		InstanceAttempts: 1, // the per-instance retry ladder would blur the failover
 		Metrics:          telemetry.NewRegistry(),

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/diagcache"
 )
 
 func respWith(status int, hdr map[string]string) *sharedResp {
@@ -18,26 +20,38 @@ func respWith(status int, hdr map[string]string) *sharedResp {
 	return &sharedResp{status: status, header: h, body: []byte(`{"diagram":"digraph {}"}`)}
 }
 
+// TestShareableFollowsVerifiedOnlyRule: over every combination of
+// status, verify header and degraded header, the router shares exactly
+// the 200s diagcache would cache — verified, or verification off (no
+// header), and never degraded.
 func TestShareableFollowsVerifiedOnlyRule(t *testing.T) {
-	cases := []struct {
-		name string
-		sr   *sharedResp
-		want bool
-	}{
-		{"plain 200", respWith(200, nil), true},
-		{"verified", respWith(200, map[string]string{"X-QueryVis-Verify-Status": "verified"}), true},
-		{"verify off", respWith(200, map[string]string{"X-QueryVis-Verify-Status": "off"}), true},
-		{"failed verify", respWith(200, map[string]string{"X-QueryVis-Verify-Status": "failed"}), false},
-		{"timeout verify", respWith(200, map[string]string{"X-QueryVis-Verify-Status": "timeout"}), false},
-		{"degraded", respWith(200, map[string]string{"X-QueryVis-Degraded": "worker_crash"}), false},
-		{"shed 503", respWith(503, nil), false},
-		{"client error", respWith(400, nil), false},
-		{"nil", nil, false},
-	}
-	for _, c := range cases {
-		if got := c.sr.shareable(); got != c.want {
-			t.Errorf("%s: shareable() = %v, want %v", c.name, got, c.want)
+	for _, status := range []int{200, 400, 503} {
+		for _, verify := range []string{"", "off", "verified", "failed", "timeout", "skipped", "mismatch", "budget_exhausted"} {
+			for _, degraded := range []string{"", "simplified", "worker_crash"} {
+				hdr := map[string]string{}
+				if verify != "" {
+					hdr["X-QueryVis-Verify-Status"] = verify
+				}
+				if degraded != "" {
+					hdr["X-QueryVis-Degraded"] = degraded
+				}
+				want := status == 200 && degraded == "" &&
+					(verify == "" || verify == "off" || verify == "verified")
+				if got := respWith(status, hdr).shareable(); got != want {
+					t.Errorf("status %d verify %q degraded %q: shareable() = %v, want %v", status, verify, degraded, got, want)
+				}
+				effective := verify
+				if effective == "" {
+					effective = "off"
+				}
+				if cached := diagcache.CacheableStatus(effective, degraded); status == 200 && cached != want {
+					t.Errorf("verify %q degraded %q: diagcache caches = %v, router shares = %v", verify, degraded, cached, want)
+				}
+			}
 		}
+	}
+	if (*sharedResp)(nil).shareable() {
+		t.Error("a nil response must not be shareable")
 	}
 }
 

@@ -90,16 +90,6 @@ type Config struct {
 	Replicas int
 	// HealthInterval is the active health-check period (default 250ms).
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 1s).
-	ProbeTimeout time.Duration
-	// ProbeDownAfter is how many consecutive failed probes mark a
-	// healthy instance unhealthy (default 2). Hysteresis: one blown
-	// probe against a busy instance must not eject it.
-	ProbeDownAfter int
-	// ProbeUpAfter is how many consecutive passing probes readmit an
-	// unhealthy instance (default 2). A flapping instance has to prove a
-	// streak before the ring trusts it with keys again.
-	ProbeUpAfter int
 	// BreakerThreshold opens an instance's circuit after this many
 	// consecutive request-path failures (default 3).
 	BreakerThreshold int
@@ -169,15 +159,6 @@ func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 250 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.ProbeDownAfter <= 0 {
-		c.ProbeDownAfter = 2
-	}
-	if c.ProbeUpAfter <= 0 {
-		c.ProbeUpAfter = 2
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
@@ -233,6 +214,7 @@ type Router struct {
 	// a leave/rejoin cycle reuses one series instead of panicking on
 	// re-registration. Guarded by memberMu after New.
 	seenURLs map[string]bool
+	watched  map[string]*tracker // URLs the prober observes besides members (see Watch); memberMu
 
 	hot      *hottab   // nil ⇒ hot-pattern replication disabled
 	stampede *stampede // nil ⇒ stampede control disabled
@@ -277,7 +259,7 @@ func New(cfg Config) (*Router, error) {
 
 	members := make([]string, 0, len(cfg.Backends))
 	for _, b := range cfg.Backends {
-		u, err := normalizeMember(b)
+		u, err := NormalizeMember(b)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +279,7 @@ func New(cfg Config) (*Router, error) {
 		MaxBackoff:  250 * time.Millisecond,
 		MaxElapsed:  cfg.InstanceMaxElapsed,
 	})
-	rt.probeClient = &http.Client{Timeout: cfg.ProbeTimeout, Transport: rt.transport}
+	rt.probeClient = &http.Client{Timeout: probeTimeout, Transport: rt.transport}
 
 	rt.requests = make(map[string]*telemetry.Counter, len(outcomes))
 	for _, o := range outcomes {
@@ -332,19 +314,11 @@ func New(cfg Config) (*Router, error) {
 		}
 	}
 
-	insts := make([]*instance, len(members))
-	for i, m := range members {
-		in := &instance{url: m}
-		in.healthy.Store(true) // optimistic: see instance.healthy
-		insts[i] = in
+	for _, m := range members {
 		rt.registerInstanceSeries(m)
 	}
-	rt.topo.Store(&topology{
-		epoch:   1,
-		members: members,
-		insts:   insts,
-		ring:    newRing(members, cfg.Replicas),
-	})
+	rt.topo.Store(&topology{})
+	rt.swap(members) // epoch 1
 
 	rt.loops.Add(1)
 	go rt.prober()

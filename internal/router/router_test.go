@@ -298,8 +298,8 @@ func TestHonest503WhenRingFullyUnhealthy(t *testing.T) {
 		t.Fatalf("healthz %.200s (err %v)", hraw, err)
 	}
 	for _, in := range hz.Instances {
-		if in.Healthy {
-			t.Fatalf("healthz claims %s healthy after its death", in.URL)
+		if in.Health != router.HealthDown {
+			t.Fatalf("healthz reports %s %q after its death, want %q", in.URL, in.Health, router.HealthDown)
 		}
 	}
 	if rt.Registry().Value("queryvis_router_no_healthy_total") == 0 {

@@ -63,8 +63,9 @@
 #              lifecycle (supervisor discovers and joins a member that
 #              was never on the -route list, SIGHUP re-reads the spec
 #              and removes a dropped member, fleet metric families ride
-#              /v1/metrics), then the partition-heal chaos battery under
-#              the race detector — three real instance processes behind
+#              /v1/metrics), then the partition-heal chaos battery five
+#              times under the race detector, so a rare flake cannot pass
+#              on one lucky run — three real instance processes behind
 #              netchaos proxies, one SIGKILLed and one fully partitioned
 #              mid-load; the supervisor must take both off the ring,
 #              respawn and rejoin them, never exceed the disruption
@@ -134,8 +135,8 @@ go test -count=1 -run TestLoadgenZipfSkewsMix ./cmd/loadgen
 echo "== fleet smoke (supervisor discovery + SIGHUP reload)"
 go test -count=1 -run TestFleetMode ./cmd/queryvisd
 
-echo "== fleet partition-heal chaos battery (race)"
-go test -count=1 -race -run TestFleetPartitionHeal ./internal/fleet
+echo "== fleet partition-heal chaos battery (race, 5 runs)"
+go test -count=5 -race -run TestFleetPartitionHeal ./internal/fleet
 
 echo "== loadgen netchaos smoke (degraded + flapping links)"
 go test -count=1 -run TestLoadgenSmokeNetchaos ./cmd/loadgen
